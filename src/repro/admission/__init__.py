@@ -1,4 +1,4 @@
-"""Admission control for the proxy under concurrent load.
+"""Admission control for the proxy under overload.
 
 The paper's proxy serves one query at a time; under the ROADMAP's
 heavy-traffic north star the serve path must instead decide, per

@@ -3,7 +3,7 @@
 One :class:`AdmissionController` sits in front of
 :class:`~repro.core.proxy.FunctionProxy.serve`.  It is used two ways:
 
-* **direct-threaded** — concurrent ``serve()`` callers pass through
+* **direct** — ``serve()`` callers pass through
   :meth:`AdmissionController.try_admit` /
   :meth:`AdmissionController.release`: a bounded-capacity gate (slots
   plus backlog) with per-tenant token buckets and the overload
@@ -21,9 +21,6 @@ cooldown, after which a half-open probe re-tests capacity.  The
 breaker runs on its own event-time :class:`SimulatedClock`, advanced
 to each caller-passed ``now_ms``, so cooldowns follow the load
 timeline rather than the work clock.
-
-All mutable state is guarded by the ``proxy.admission`` named lock;
-observer callbacks fire after the lock is released.
 """
 
 from __future__ import annotations
@@ -43,13 +40,12 @@ from repro.admission.config import (
     TenantQuota,
 )
 from repro.faults.resilience import BreakerState, CircuitBreaker
-from repro.locking import guarded_by, named_lock
 from repro.network.clock import SimulatedClock
 from repro.obs.events import BREAKER_EVENT_CODES, SHED_POLICY_EVENT_CODES
 
 
 class AdmissionListener(Protocol):
-    """Metrics hooks the controller drives (outside its lock)."""
+    """Metrics hooks the controller drives."""
 
     def admission_queue_depth(self, depth: int) -> None: ...
 
@@ -96,12 +92,10 @@ class QueuedRequest:
     degrade: bool = False
 
 
-@guarded_by("proxy.admission", "_tokens", "_stamp_ms")
 class TokenBucket:
     """A token bucket on explicit event time (caller passes now)."""
 
     def __init__(self, quota: TenantQuota) -> None:
-        self._lock = named_lock("proxy.admission")
         self.quota = quota
         self._tokens = float(quota.burst)
         self._stamp_ms = 0.0
@@ -112,40 +106,23 @@ class TokenBucket:
 
     def try_take(self, now_ms: float) -> bool:
         """Refill for the elapsed event time, then take one token."""
-        with self._lock:
-            elapsed = max(0.0, now_ms - self._stamp_ms)
-            self._stamp_ms = max(self._stamp_ms, now_ms)
-            self._tokens = min(
-                float(self.quota.burst),
-                self._tokens + elapsed * self.quota.rate_per_s / 1_000.0,
-            )
-            if self._tokens >= 1.0:
-                self._tokens -= 1.0
-                return True
-            return False
+        elapsed = max(0.0, now_ms - self._stamp_ms)
+        self._stamp_ms = max(self._stamp_ms, now_ms)
+        self._tokens = min(
+            float(self.quota.burst),
+            self._tokens + elapsed * self.quota.rate_per_s / 1_000.0,
+        )
+        if self._tokens >= 1.0:
+            self._tokens -= 1.0
+            return True
+        return False
 
 
-@guarded_by(
-    "proxy.admission",
-    "_queue",
-    "_inflight",
-    "_seq",
-    "_overload",
-    "_obs",
-    "_allow_degrade",
-    "submitted",
-    "admitted",
-    "shed",
-    "timeouts",
-    "_shed_by_reason",
-    "_quota_denials",
-)
 class AdmissionController:
     """The admission gate in front of the proxy's serve path."""
 
     def __init__(self, config: AdmissionConfig | None = None) -> None:
         self.config = config or AdmissionConfig()
-        self._lock = named_lock("proxy.admission")
         self._queue: deque[QueuedRequest] = deque(
             maxlen=self.config.max_queue_depth
         )
@@ -189,15 +166,14 @@ class AdmissionController:
             if instrumentation is not None
             else None
         )
-        with self._lock:
-            self._obs = instrumentation
-            self._allow_degrade = bool(allow_degrade)
-            self._overload = CircuitBreaker(
-                self._breaker_clock,
-                failure_threshold=self.config.overload_threshold,
-                cooldown_ms=self.config.overload_cooldown_ms,
-                on_state_change=callback,
-            )
+        self._obs = instrumentation
+        self._allow_degrade = bool(allow_degrade)
+        self._overload = CircuitBreaker(
+            self._breaker_clock,
+            failure_threshold=self.config.overload_threshold,
+            cooldown_ms=self.config.overload_cooldown_ms,
+            on_state_change=callback,
+        )
         if instrumentation is not None:
             instrumentation.admission_overload_transition(
                 BreakerState.CLOSED
@@ -211,10 +187,7 @@ class AdmissionController:
         Each transition updates the overload gauge, lands on the
         flight recorder as an EV01-03 breaker event (payload
         ``breaker="admission-overload"``), and — on open/close — marks
-        the shed policy activating/deactivating (EV04/EV05).  The
-        breaker may invoke this while the ``proxy.admission`` lock is
-        held; ``proxy.telemetry`` is a pure sink, so the nesting is
-        safe.
+        the shed policy activating/deactivating (EV04/EV05).
         """
 
         def on_transition(state: BreakerState) -> None:
@@ -233,39 +206,38 @@ class AdmissionController:
 
     # ------------------------------------------------------- direct gate
     def try_admit(self, tenant: str, now_ms: float) -> AdmissionVerdict:
-        """Admission for a direct (threaded) ``serve()`` call.
+        """Admission for a direct ``serve()`` call.
 
-        Capacity is slots plus backlog: callers beyond ``max_inflight``
-        count as queued backlog even though their threads run
-        immediately (the simulated clock carries the waiting).  Order
+        Capacity is slots plus backlog: admissions beyond
+        ``max_inflight`` count as queued backlog (the simulated clock
+        carries the waiting).  Order
         of checks: quota (per-tenant, independent of load), then the
         overload breaker, then capacity — so a breaker probe always
         resolves against a real capacity test.
         """
         shed_reason = ""
         degrade = False
-        with self._lock:
-            self.submitted += 1
-            self._advance_event_time(now_ms)
-            if not self._take_token(tenant, now_ms):
-                shed_reason = REASON_QUOTA
-            elif not self._overload.allow():
-                shed_reason = REASON_ADMISSION_OPEN
-            elif self._inflight >= self.config.capacity:
-                shed_reason = REASON_QUEUE_FULL
-                self._overload.record_failure()
-            else:
-                backlog = self._inflight - self.config.max_inflight
-                degrade = (
-                    self.config.shed_policy == SHED_DEGRADE_TO_TUNNEL
-                    and self._allow_degrade
-                    and backlog >= self.config.watermark_depth
-                )
-                self._inflight += 1
-                self.admitted += 1
-                self._overload.record_success()
-            if shed_reason:
-                self._count_shed(shed_reason, tenant)
+        self.submitted += 1
+        self._advance_event_time(now_ms)
+        if not self._take_token(tenant, now_ms):
+            shed_reason = REASON_QUOTA
+        elif not self._overload.allow():
+            shed_reason = REASON_ADMISSION_OPEN
+        elif self._inflight >= self.config.capacity:
+            shed_reason = REASON_QUEUE_FULL
+            self._overload.record_failure()
+        else:
+            backlog = self._inflight - self.config.max_inflight
+            degrade = (
+                self.config.shed_policy == SHED_DEGRADE_TO_TUNNEL
+                and self._allow_degrade
+                and backlog >= self.config.watermark_depth
+            )
+            self._inflight += 1
+            self.admitted += 1
+            self._overload.record_success()
+        if shed_reason:
+            self._count_shed(shed_reason, tenant)
         self._notify_shed(shed_reason, tenant)
         self._notify_depth()
         self._notify_quota(tenant)
@@ -275,9 +247,8 @@ class AdmissionController:
 
     def release(self) -> None:
         """An admitted query finished (however it ended)."""
-        with self._lock:
-            if self._inflight > 0:
-                self._inflight -= 1
+        if self._inflight > 0:
+            self._inflight -= 1
         self._notify_depth()
 
     # ------------------------------------------------------ queued gate
@@ -297,33 +268,32 @@ class AdmissionController:
         shed_reason = ""
         degrade = False
         evicted: QueuedRequest | None = None
-        with self._lock:
-            self.submitted += 1
-            self._advance_event_time(now_ms)
-            if not self._take_token(tenant, now_ms):
-                shed_reason = REASON_QUOTA
-            elif not self._overload.allow():
-                shed_reason = REASON_ADMISSION_OPEN
-            elif len(self._queue) < self.config.max_queue_depth:
-                degrade = (
-                    self.config.shed_policy == SHED_DEGRADE_TO_TUNNEL
-                    and self._allow_degrade
-                    and len(self._queue) >= self.config.watermark_depth
-                )
-                self._park(item, tenant, cost_hint, now_ms, degrade)
-                self._overload.record_success()
+        self.submitted += 1
+        self._advance_event_time(now_ms)
+        if not self._take_token(tenant, now_ms):
+            shed_reason = REASON_QUOTA
+        elif not self._overload.allow():
+            shed_reason = REASON_ADMISSION_OPEN
+        elif len(self._queue) < self.config.max_queue_depth:
+            degrade = (
+                self.config.shed_policy == SHED_DEGRADE_TO_TUNNEL
+                and self._allow_degrade
+                and len(self._queue) >= self.config.watermark_depth
+            )
+            self._park(item, tenant, cost_hint, now_ms, degrade)
+            self._overload.record_success()
+        else:
+            # Queue full: the shed policy decides who pays.
+            self._overload.record_failure()
+            if self.config.shed_policy == SHED_SHED_CHEAPEST:
+                evicted = self._evict_cheapest(cost_hint)
+            if evicted is not None:
+                self._park(item, tenant, cost_hint, now_ms, False)
+                self._count_shed(REASON_QUEUE_FULL, evicted.tenant)
             else:
-                # Queue full: the shed policy decides who pays.
-                self._overload.record_failure()
-                if self.config.shed_policy == SHED_SHED_CHEAPEST:
-                    evicted = self._evict_cheapest(cost_hint)
-                if evicted is not None:
-                    self._park(item, tenant, cost_hint, now_ms, False)
-                    self._count_shed(REASON_QUEUE_FULL, evicted.tenant)
-                else:
-                    shed_reason = REASON_QUEUE_FULL
-            if shed_reason:
-                self._count_shed(shed_reason, tenant)
+                shed_reason = REASON_QUEUE_FULL
+        if shed_reason:
+            self._count_shed(shed_reason, tenant)
         self._notify_shed(
             shed_reason or (REASON_QUEUE_FULL if evicted else ""),
             tenant,
@@ -352,24 +322,23 @@ class AdmissionController:
         """
         expired: list[QueuedRequest] = []
         got: QueuedRequest | None = None
-        with self._lock:
-            self._advance_event_time(now_ms)
-            if self._inflight < self.config.max_inflight:
-                fifo = self.config.discipline == DISCIPLINE_FIFO
-                while self._queue:
-                    if fifo:
-                        head = self._queue.popleft()
-                    else:
-                        head = self._queue.pop()
-                    waited = now_ms - head.enqueued_at_ms
-                    if waited > self.config.queue_deadline_ms:
-                        expired.append(head)
-                        self.timeouts += 1
-                        continue
-                    got = head
-                    self._inflight += 1
-                    self.admitted += 1
-                    break
+        self._advance_event_time(now_ms)
+        if self._inflight < self.config.max_inflight:
+            fifo = self.config.discipline == DISCIPLINE_FIFO
+            while self._queue:
+                if fifo:
+                    head = self._queue.popleft()
+                else:
+                    head = self._queue.pop()
+                waited = now_ms - head.enqueued_at_ms
+                if waited > self.config.queue_deadline_ms:
+                    expired.append(head)
+                    self.timeouts += 1
+                    continue
+                got = head
+                self._inflight += 1
+                self.admitted += 1
+                break
         waited_ms = 0.0 if got is None else now_ms - got.enqueued_at_ms
         obs = self._obs
         if obs is not None and got is not None:
@@ -377,7 +346,7 @@ class AdmissionController:
         self._notify_depth()
         return got, waited_ms, expired
 
-    # --------------------------------------------------------- lock-held
+    # ----------------------------------------------------------- private
     def _advance_event_time(self, now_ms: float) -> None:
         """Fast-forward the overload breaker's clock to ``now_ms``."""
         delta = now_ms - self._breaker_clock.now_ms
@@ -469,38 +438,35 @@ class AdmissionController:
         return self._overload.state
 
     def shed_counts(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._shed_by_reason)
+        return dict(self._shed_by_reason)
 
     def quota_denials(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._quota_denials)
+        return dict(self._quota_denials)
 
     def snapshot(self) -> dict[str, Any]:
         """A JSON-able status view (the ``GET /admission`` payload)."""
-        with self._lock:
-            return {
-                "config": {
-                    "max_inflight": self.config.max_inflight,
-                    "max_queue_depth": self.config.max_queue_depth,
-                    "discipline": self.config.discipline,
-                    "queue_deadline_ms": self.config.queue_deadline_ms,
-                    "shed_policy": self.config.shed_policy,
-                    "degrade_watermark": self.config.degrade_watermark,
-                    "tenants": sorted(self._buckets),
-                },
-                "queue_depth": len(self._queue),
-                "inflight": self._inflight,
-                "submitted": self.submitted,
-                "admitted": self.admitted,
-                "shed": self.shed,
-                "timeouts": self.timeouts,
-                "shed_by_reason": dict(self._shed_by_reason),
-                "quota_denials": dict(self._quota_denials),
-                "quota_tokens": {
-                    tenant: bucket.tokens
-                    for tenant, bucket in sorted(self._buckets.items())
-                },
-                "overload_state": self._overload.state.value,
-                "overload_opens": self._overload.opens,
-            }
+        return {
+            "config": {
+                "max_inflight": self.config.max_inflight,
+                "max_queue_depth": self.config.max_queue_depth,
+                "discipline": self.config.discipline,
+                "queue_deadline_ms": self.config.queue_deadline_ms,
+                "shed_policy": self.config.shed_policy,
+                "degrade_watermark": self.config.degrade_watermark,
+                "tenants": sorted(self._buckets),
+            },
+            "queue_depth": len(self._queue),
+            "inflight": self._inflight,
+            "submitted": self.submitted,
+            "admitted": self.admitted,
+            "shed": self.shed,
+            "timeouts": self.timeouts,
+            "shed_by_reason": dict(self._shed_by_reason),
+            "quota_denials": dict(self._quota_denials),
+            "quota_tokens": {
+                tenant: bucket.tokens
+                for tenant, bucket in sorted(self._buckets.items())
+            },
+            "overload_state": self._overload.state.value,
+            "overload_opens": self._overload.opens,
+        }

@@ -13,9 +13,7 @@ Code blocks:
 
 * ``FP1xx`` — function-template structure and semantics (XML layer);
 * ``FP2xx`` — query-template / info-file checks against the properties;
-* ``FP3xx`` — repository lint rules (:mod:`repro.analysis.pylint_rules`);
-* ``FP4xx`` — concurrency-safety checks
-  (:mod:`repro.analysis.concurrency`).
+* ``FP3xx`` — repository lint rules (:mod:`repro.analysis.pylint_rules`).
 
 The table is pinned by a golden test; changing a code's meaning is a
 breaking change for anyone filtering diagnostics by code.
@@ -155,7 +153,7 @@ CODES: dict[str, CodeInfo] = {
         ),
         CodeInfo(
             "FP309", _E,
-            "raw threading.Lock/RLock outside repro/locking.py",
+            "threading lock constructed outside repro/webapp/",
         ),
         CodeInfo(
             "FP310", _E,
@@ -168,31 +166,6 @@ CODES: dict[str, CodeInfo] = {
         CodeInfo(
             "FP312", _E,
             "direct shard-internal import outside repro.cluster",
-        ),
-        # --------------------------------------- FP4xx: concurrency safety
-        CodeInfo(
-            "FP401", _E,
-            "shared mutable state without a concurrency registration",
-        ),
-        CodeInfo(
-            "FP402", _E,
-            "write to a guarded attribute outside its lock",
-        ),
-        CodeInfo(
-            "FP403", _E,
-            "read-only attribute mutated after __init__",
-        ),
-        CodeInfo(
-            "FP404", _E,
-            "lock-acquisition-order cycle (potential deadlock)",
-        ),
-        CodeInfo(
-            "FP405", _E,
-            "guarded-by registration names an unknown lock",
-        ),
-        CodeInfo(
-            "FP406", _W,
-            "guarded attribute is never written (stale registration)",
         ),
     )
 }

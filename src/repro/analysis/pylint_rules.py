@@ -41,22 +41,20 @@ Invariants the generic tools cannot express:
   modules must emit numbers via
   :class:`repro.perf.reporter.BenchReporter` (whose ``finish`` prints
   the one sanctioned summary table) and prose via ``record_result``.
-* **FP309 — every lock has a name.**  The concurrency analyzer
-  (:mod:`repro.analysis.concurrency`) reasons about locks by *role
-  name* (``"proxy.cache"``, ``"persistence.journal"``, ...); a raw
-  ``threading.Lock()`` / ``threading.RLock()`` is anonymous, so the
-  guarded-write check cannot tie it to any ``guarded-by`` annotation
-  and the lock-order graph cannot see it at all.  Outside
-  ``repro/locking.py`` (which owns the one sanctioned constructor)
-  every lock must be built with
-  :func:`repro.locking.named_lock`.
+* **FP309 — one lock per web app.**  The proxy, the shard router,
+  the event loop and everything under them are single-owner objects:
+  one thread calls them at a time, and they take no locks.  The only
+  place threads can enter is a WSGI server, so the only lock is the
+  per-app request lock in ``repro/webapp/``
+  (:func:`repro.webapp.serialize_requests`).  A ``threading`` lock,
+  condition or semaphore constructed anywhere else is an error.
 * **FP310 — serve-path queues are bounded.**  The admission layer's
   whole premise is that backlog is a policy decision, not an accident
   of memory: a ``collections.deque`` without ``maxlen`` or a
-  ``queue.Queue`` without ``maxsize`` in a serve-path module (the
-  :data:`~repro.analysis.concurrency.SERVE_PATH_MODULES` set the
-  concurrency analyzer pins) grows without bound under exactly the
-  overload the proxy is supposed to shed.  ``queue.SimpleQueue``
+  ``queue.Queue`` without ``maxsize`` in a serve-path module
+  (:data:`SERVE_PATH_MODULES`, or any module carrying the
+  ``# concurrency: serve-path`` pragma) grows without bound under
+  exactly the overload the proxy is supposed to shed.  ``queue.SimpleQueue``
   cannot be bounded at all and is always flagged there.
 * **FP311 — flight-recorder events use pinned EV codes.**  The event
   timeline (:mod:`repro.obs.events`) is keyed by the stable
@@ -548,14 +546,14 @@ THREADING_LOCK_FACTORIES = frozenset(
 
 
 def raw_lock_rule(module: ModuleUnderLint) -> Iterator[Diagnostic]:
-    """FP309: raw threading lock constructions outside repro/locking.py."""
+    """FP309: threading lock constructions outside repro/webapp/."""
     if any(part in ("tests", "conftest.py") for part in module.path.parts):
         return
-    if module.repro_parts == ("locking.py",):
+    if module.repro_parts[:1] == ("webapp",):
         return
     hint = (
-        "construct locks via repro.locking.named_lock(\"<role>\") so the "
-        "concurrency analyzer can name them"
+        "serving objects are single-owner; serialize threads at the web "
+        "app with repro.webapp.serialize_requests instead"
     )
     for node in ast.walk(module.tree):
         if not isinstance(node, ast.Call):
@@ -570,8 +568,8 @@ def raw_lock_rule(module: ModuleUnderLint) -> Iterator[Diagnostic]:
             ):
                 yield module.diagnostic(
                     "FP309",
-                    f"threading.{imported[1]}() constructs an anonymous "
-                    "lock the concurrency analyzer cannot name",
+                    f"threading.{imported[1]}() outside repro/webapp/; "
+                    "the only lock is the per-app request lock",
                     node,
                     hint=hint,
                 )
@@ -584,14 +582,40 @@ def raw_lock_rule(module: ModuleUnderLint) -> Iterator[Diagnostic]:
             ):
                 yield module.diagnostic(
                     "FP309",
-                    f"threading.{func.attr}() constructs an anonymous "
-                    "lock the concurrency analyzer cannot name",
+                    f"threading.{func.attr}() outside repro/webapp/; "
+                    "the only lock is the per-app request lock",
                     node,
                     hint=hint,
                 )
 
 
 # ------------------------------------------------------------------- FP310
+#: Modules (repro-relative) on the serve path, where every queue must
+#: be bounded.
+SERVE_PATH_MODULES = frozenset(
+    {
+        "admission/controller.py",
+        "core/cache.py",
+        "core/proxy.py",
+        "core/stats.py",
+        "network/clock.py",
+        "sched/frontend.py",
+        "sched/loop.py",
+        "obs/decisions.py",
+        "obs/events.py",
+        "obs/health.py",
+        "obs/instrument.py",
+        "obs/spans.py",
+        "obs/timeseries.py",
+        "persistence/journal.py",
+        "persistence/persister.py",
+        "templates/manager.py",
+    }
+)
+
+#: A module outside the pinned set opts into FP310 with this comment.
+SERVE_PATH_PRAGMA = "concurrency: serve-path"
+
 #: ``queue`` module constructors that accept (and default to an
 #: unbounded) ``maxsize``.
 BOUNDABLE_QUEUE_FACTORIES = frozenset(
@@ -666,14 +690,6 @@ def _is_deque_call(module: ModuleUnderLint, call: ast.Call) -> bool:
 
 def unbounded_queue_rule(module: ModuleUnderLint) -> Iterator[Diagnostic]:
     """FP310: unbounded deques/queues in serve-path modules."""
-    # Imported lazily: repro.analysis.concurrency imports nothing from
-    # this module, but keeping the lint rules importable on their own
-    # is worth the local import.
-    from repro.analysis.concurrency import (
-        SERVE_PATH_MODULES,
-        SERVE_PATH_PRAGMA,
-    )
-
     if any(part in ("tests", "conftest.py") for part in module.path.parts):
         return
     rel = "/".join(module.repro_parts)

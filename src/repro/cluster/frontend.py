@@ -15,7 +15,7 @@ closed-loop clients always get their completion callback and keep
 submitting.
 
 The frontend is single-threaded by design — it lives on the event
-loop's thread; the shards underneath do their own locking.
+loop's thread, like the router and shards underneath it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import Any, Callable
 from repro.cluster.router import RouteDecision, ShardRouter
 from repro.core.proxy import ProxyResponse
 from repro.core.stats import QueryOutcome
-from repro.locking import unshared
 from repro.sched.frontend import ProxyFrontend
 from repro.sched.loop import EventLoop
 
@@ -33,7 +32,6 @@ from repro.sched.loop import EventLoop
 _REJECT_OUTCOMES = (QueryOutcome.SHED, QueryOutcome.QUEUED_TIMEOUT)
 
 
-@unshared("submitted", "completed", "rejected")
 class ClusterFrontend:
     """Closed-loop serving through a shard router on one event loop.
 

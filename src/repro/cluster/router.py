@@ -26,18 +26,12 @@ survives), reads the snapshot+journal image back, and warm-hands it to
 the first live ring successor through the normal ``cache.store`` path
 (:mod:`repro.cluster.handoff`).  A *drain* is the planned version of
 the same movement, exporting the live cache instead.
-
-Locking: ``router.state`` guards the routing sequence, the decision
-log, the drained/crash bookkeeping, and the fault session's rng.  The
-router never calls into a shard proxy, emits an event, or bumps a
-metric while holding it — shard-side locks (``proxy.*``) are acquired
-only after ``router.state`` is released, so the lock-order graph gains
-no edge out of ``router.state`` at all.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
 
@@ -52,7 +46,6 @@ from repro.cluster.ring import HashRing
 from repro.core.stats import QueryOutcome
 from repro.faults.shard import ShardCrashPlan, ShardCrashSession, ShardFaultKind
 from repro.geometry.regions import ConvexPolytope, HyperRect, HyperSphere, Region
-from repro.locking import guarded_by, named_lock, read_only, unshared
 from repro.network.clock import SimulatedClock
 from repro.obs.events import (
     EV_FAILOVER_REROUTE,
@@ -60,6 +53,7 @@ from repro.obs.events import (
     EV_SHARD_CRASH,
     NULL_EVENTS,
 )
+from repro.obs.decisions import DECISION_LOG_CAPACITY
 from repro.obs.health import HEALTHY, UNHEALTHY, evaluate_samples
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import NULL_TIMESERIES
@@ -174,33 +168,13 @@ def _region_center(region: Region) -> tuple[float, ...] | None:
     return None
 
 
-@guarded_by(
-    "router.state",
-    "_seq",
-    "decisions",
-    "_drained",
-    "_crash_handled",
-    "handoffs",
-)
-@unshared("clock")
-@read_only(
-    # _session is bound once; its *interior* rng state mutates only
-    # under router.state (route/check_faults draw while holding it).
-    "_session",
-    "config",
-    "fallback",
-    "registry",
-    "events",
-    "timeseries",
-)
 class ShardRouter:
     """Consistent-hash front tier over N shard proxies.
 
     Construction wires the ring, the seeded fault session, and the
     router's own metrics registry (the five ``router_*`` families the
     pinned ``ROUTER_LANES`` sample).  ``clock`` is rebound by the
-    event-loop frontend during single-threaded wiring, hence
-    ``unshared``.
+    event-loop frontend.
     """
 
     def __init__(
@@ -229,12 +203,15 @@ class ShardRouter:
         self.timeseries = (
             timeseries if timeseries is not None else NULL_TIMESERIES
         )
-        self._lock = named_lock("router.state")
         self._session: ShardCrashSession | None = (
             crash_plan.session() if crash_plan is not None else None
         )
         self._seq = 0
-        self.decisions: list[RouteDecision] = []
+        #: The newest routing decisions; older ones fall off the ring
+        #: (``router_failover_total`` keeps the lifetime reroute count).
+        self.decisions: deque[RouteDecision] = deque(
+            maxlen=DECISION_LOG_CAPACITY
+        )
         self._drained: set[str] = set()
         self._crash_handled: set[str] = set()
         self.handoffs: list[HandoffReport] = []
@@ -294,16 +271,11 @@ class ShardRouter:
 
         Fault-session reachability wins over the shard's own monitor
         (a crashed shard's monitor would happily report healthy).
-        Health is evaluated *before* ``router.state`` is taken — the
-        monitors acquire shard-side locks the router must never hold
-        its own lock across.
         """
-        with self._lock:
-            drained = set(self._drained)
-            session = self._session
+        session = self._session
         statuses: dict[str, str] = {}
         for shard_id, shard in self._shards.items():
-            if shard_id in drained:
+            if shard_id in self._drained:
                 statuses[shard_id] = "drained"
             elif session is not None and session.down(shard_id, now_ms):
                 statuses[shard_id] = "unreachable"
@@ -359,51 +331,50 @@ class ShardRouter:
         key = self.route_key(bound)
         if statuses is None:
             statuses = self._shard_statuses(now_ms)
-        with self._lock:
-            self._seq += 1
-            seq = self._seq
-            preference = self._ring.preference(key)
-            primary = preference[0]
-            candidates = (
-                preference if self.config.failover else preference[:1]
-            )
-            attempts: list[RouteAttempt] = []
-            dispatched: str | None = None
-            slowdown = 1.0
-            for shard_id in candidates:
-                if shard_id in self._drained:
-                    attempts.append(RouteAttempt(shard_id, "drained"))
+        self._seq += 1
+        seq = self._seq
+        preference = self._ring.preference(key)
+        primary = preference[0]
+        candidates = (
+            preference if self.config.failover else preference[:1]
+        )
+        attempts: list[RouteAttempt] = []
+        dispatched: str | None = None
+        slowdown = 1.0
+        for shard_id in candidates:
+            if shard_id in self._drained:
+                attempts.append(RouteAttempt(shard_id, "drained"))
+                continue
+            if self._session is not None:
+                verdict = self._session.route_attempt(shard_id, now_ms)
+            else:
+                verdict = None
+            if verdict is not None:
+                if verdict.kind is ShardFaultKind.CRASH:
+                    attempts.append(RouteAttempt(shard_id, "crash"))
                     continue
-                if self._session is not None:
-                    verdict = self._session.route_attempt(shard_id, now_ms)
-                else:
-                    verdict = None
-                if verdict is not None:
-                    if verdict.kind is ShardFaultKind.CRASH:
-                        attempts.append(RouteAttempt(shard_id, "crash"))
-                        continue
-                    if verdict.kind is ShardFaultKind.HANG:
-                        attempts.append(RouteAttempt(shard_id, "hang"))
-                        continue
-                    if verdict.kind is ShardFaultKind.ERROR:
-                        attempts.append(RouteAttempt(shard_id, "transient"))
-                        continue
-                if statuses.get(shard_id) == UNHEALTHY:
-                    attempts.append(RouteAttempt(shard_id, "unhealthy"))
+                if verdict.kind is ShardFaultKind.HANG:
+                    attempts.append(RouteAttempt(shard_id, "hang"))
                     continue
-                attempts.append(RouteAttempt(shard_id, "dispatched"))
-                dispatched = shard_id
-                slowdown = verdict.slowdown if verdict is not None else 1.0
-                break
-            decision = RouteDecision(
-                seq=seq,
-                key=key,
-                primary=primary,
-                attempts=tuple(attempts),
-                dispatched=dispatched,
-                slowdown=slowdown,
-            )
-            self.decisions.append(decision)
+                if verdict.kind is ShardFaultKind.ERROR:
+                    attempts.append(RouteAttempt(shard_id, "transient"))
+                    continue
+            if statuses.get(shard_id) == UNHEALTHY:
+                attempts.append(RouteAttempt(shard_id, "unhealthy"))
+                continue
+            attempts.append(RouteAttempt(shard_id, "dispatched"))
+            dispatched = shard_id
+            slowdown = verdict.slowdown if verdict is not None else 1.0
+            break
+        decision = RouteDecision(
+            seq=seq,
+            key=key,
+            primary=primary,
+            attempts=tuple(attempts),
+            dispatched=dispatched,
+            slowdown=slowdown,
+        )
+        self.decisions.append(decision)
         self._metric_queries.inc()
         if decision.rerouted:
             self._metric_failover.inc()
@@ -493,20 +464,19 @@ class ShardRouter:
         when configured, warm-hands the durable image to the first
         live ring successor.
         """
-        with self._lock:
-            session = self._session
-            if session is None:
-                return
-            newly = session.newly_down(now_ms)
-            crashes: list[str] = []
-            for shard_id, kind, _start_ms in newly:
-                if (
-                    kind == "crash"
-                    and shard_id in self._shards
-                    and shard_id not in self._crash_handled
-                ):
-                    self._crash_handled.add(shard_id)
-                    crashes.append(shard_id)
+        session = self._session
+        if session is None:
+            return
+        newly = session.newly_down(now_ms)
+        crashes: list[str] = []
+        for shard_id, kind, _start_ms in newly:
+            if (
+                kind == "crash"
+                and shard_id in self._shards
+                and shard_id not in self._crash_handled
+            ):
+                self._crash_handled.add(shard_id)
+                crashes.append(shard_id)
         for shard_id, kind, start_ms in newly:
             self.events.emit(
                 EV_SHARD_CRASH,
@@ -525,11 +495,11 @@ class ShardRouter:
         if persister is not None:
             # Suspend the mutation-log hooks around the clear so the
             # durable image is not journalled away with the memory.
-            persister.set_suspended(True)
+            persister.suspended = True
             try:
                 shard.proxy.cache.clear()
             finally:
-                persister.set_suspended(False)
+                persister.suspended = False
         else:
             shard.proxy.cache.clear()
         if not self.config.handoff_on_crash or persister is None:
@@ -546,8 +516,7 @@ class ShardRouter:
             target=target,
             bytes_total=len(data),
         )
-        with self._lock:
-            self.handoffs.append(report)
+        self.handoffs.append(report)
         self.events.emit(
             EV_HANDOFF_COMPLETED,
             at_ms=now_ms,
@@ -560,11 +529,9 @@ class ShardRouter:
 
     def _successor(self, shard_id: str, now_ms: float) -> str | None:
         """The first live, undrained ring successor of ``shard_id``."""
-        with self._lock:
-            drained = set(self._drained)
-            session = self._session
+        session = self._session
         for candidate in self._ring.successors(shard_id):
-            if candidate in drained:
+            if candidate in self._drained:
                 continue
             if session is not None and session.down(candidate, now_ms):
                 continue
@@ -587,10 +554,9 @@ class ShardRouter:
             raise ValueError(f"unknown shard {shard_id!r}")
         if now_ms is None:
             now_ms = self.clock.now_ms
-        with self._lock:
-            if shard_id in self._drained:
-                return None
-            self._drained.add(shard_id)
+        if shard_id in self._drained:
+            return None
+        self._drained.add(shard_id)
         records = export_records(
             self._shards[shard_id].proxy, shard_id, now_ms
         )
@@ -625,13 +591,11 @@ class ShardRouter:
                 replayed=report.replayed,
                 stale=report.stale,
             )
-        with self._lock:
-            self.handoffs.append(report)
+        self.handoffs.append(report)
         return report
 
     def drained(self) -> tuple[str, ...]:
-        with self._lock:
-            return tuple(sorted(self._drained))
+        return tuple(sorted(self._drained))
 
     # --------------------------------------------------------- telemetry
     def sample_telemetry(
@@ -652,8 +616,7 @@ class ShardRouter:
 
     def recent_decisions(self, n: int | None = None) -> list[RouteDecision]:
         """The newest ``n`` routing decisions, oldest first."""
-        with self._lock:
-            decisions = list(self.decisions)
+        decisions = list(self.decisions)
         if n is not None and n >= 0:
             decisions = decisions[-n:] if n else []
         return decisions
@@ -662,10 +625,9 @@ class ShardRouter:
         """The ``GET /shards`` payload."""
         now_ms = self.clock.now_ms
         statuses = self._shard_statuses(now_ms)
-        with self._lock:
-            seq = self._seq
-            handoffs = [report.to_dict() for report in self.handoffs]
-            drained = sorted(self._drained)
+        seq = self._seq
+        handoffs = [report.to_dict() for report in self.handoffs]
+        drained = sorted(self._drained)
         shards = []
         for shard_id in self._ring.nodes:
             proxy = self._shards[shard_id].proxy

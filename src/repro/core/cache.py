@@ -16,25 +16,12 @@ Design notes
   policy; DESIGN.md records the choice, and the policy is pluggable
   (:mod:`repro.core.replacement`) so the replacement ablation can
   compare alternatives.
-* **Locking**: every mutation happens under the ``proxy.cache`` named
-  lock (reentrant), taken by the public mutators (``store`` /
-  ``clear`` / ``remove`` / ``touch``); the private helpers are only
-  ever called from inside those scopes, which the concurrency analyzer
-  verifies (see DESIGN.md, FP4xx).  The cache *description* is owned
-  by this manager and mutated only under the same lock — that
-  ownership convention is why ``core/description.py`` itself carries
-  no registrations.  Multi-step lookups also take the lock:
-  ``exact_match`` reads ``_by_key`` and ``_entries`` in one critical
-  section (a lock-free reader could see the gap a concurrent eviction
-  opens between the two dicts), and ``exact_match_pinned`` fetches the
-  stored result in the same section so the entry cannot be evicted
-  out from under the read.  ``entries()`` snapshots under the lock so
-  callers can iterate while another thread stores.  Single-dict reads
-  (``__len__``, ``entry``) stay lock-free — CPython dict gets are
-  atomic.  Candidates handed out by the description *can* lose a race
-  with eviction after the probe returns; readers of their results must
-  tolerate :class:`~repro.core.store.ResultStoreError` (the proxy's
-  serve path falls back to forwarding).
+* The cache *description* is owned by this manager and mutated only
+  through it.  Candidates handed out by the description are read
+  through the result store, which may raise
+  :class:`~repro.core.store.ResultStoreError` (a file-backed store
+  with a missing or corrupt file); the proxy's serve path falls back
+  to forwarding.
 """
 
 from __future__ import annotations
@@ -47,7 +34,6 @@ from repro.core.costs import ProxyCostModel
 from repro.core.description import CacheDescription
 from repro.core.store import MemoryResultStore
 from repro.geometry.regions import Region
-from repro.locking import guarded_by, named_lock, unshared
 from repro.obs.decisions import EvictionRecord
 from repro.relational.result import ResultTable
 from repro.templates.manager import BoundQuery
@@ -57,7 +43,6 @@ class CacheError(Exception):
     """Cache misuse (unknown entries, double insertion)."""
 
 
-@guarded_by("proxy.cache", "last_used", "access_count")
 @dataclass(eq=False)
 class CacheEntry:
     """One cached query result's metadata.
@@ -94,9 +79,6 @@ class CacheEntry:
         )
 
 
-@unshared(
-    "stored_bytes", "evicted_entries", "description_work", "evictions"
-)
 @dataclass
 class MaintenanceReport:
     """What a cache mutation cost, for the simulated clock.
@@ -119,17 +101,6 @@ class MaintenanceReport:
         )
 
 
-@guarded_by(
-    "proxy.cache",
-    "description",
-    "_entries",
-    "_by_key",
-    "_ids",
-    "_tick",
-    "current_bytes",
-    "insertions",
-    "evictions",
-)
 class CacheManager:
     """Byte-budgeted LRU store of query results with a description."""
 
@@ -163,8 +134,7 @@ class CacheManager:
         #: (region containment) and ``replace`` (identical query
         #: re-admitted); a full flush is one ``cleared`` record, not a
         #: stream of per-entry removals.
-        self.mutation_log = None  # lock-class: CachePersister
-        self._lock = named_lock("proxy.cache")
+        self.mutation_log = None
         self._entries: dict[int, CacheEntry] = {}
         self._by_key: dict[tuple, int] = {}
         self._ids = itertools.count(1)
@@ -179,34 +149,13 @@ class CacheManager:
 
     def exact_match(self, bound: BoundQuery) -> CacheEntry | None:
         """The entry produced by an identical query, if cached."""
-        with self._lock:
-            entry_id = self._by_key.get(bound.cache_key())
-            if entry_id is None:
-                return None
-            return self._entries[entry_id]
-
-    def exact_match_pinned(
-        self, bound: BoundQuery
-    ) -> tuple[CacheEntry, ResultTable] | None:
-        """Exact match with its stored result read in the same critical
-        section.
-
-        The serve path uses this instead of ``exact_match`` +
-        ``entry.result``: between those two steps a concurrent
-        ``store`` could evict the entry and drop its stored result,
-        turning the read into a ``ResultStoreError``.  Pinning the
-        result under ``proxy.cache`` closes that window (eviction
-        itself runs under the same lock)."""
-        with self._lock:
-            entry_id = self._by_key.get(bound.cache_key())
-            if entry_id is None:
-                return None
-            entry = self._entries[entry_id]
-            return entry, entry.result
+        entry_id = self._by_key.get(bound.cache_key())
+        if entry_id is None:
+            return None
+        return self._entries[entry_id]
 
     def entries(self) -> Iterable[CacheEntry]:
-        with self._lock:  # snapshot: callers iterate without the lock
-            return list(self._entries.values())
+        return list(self._entries.values())
 
     def entry(self, entry_id: int) -> CacheEntry:
         try:
@@ -217,16 +166,13 @@ class CacheManager:
     def touch(self, entry: CacheEntry) -> None:
         """Record a use, for the replacement policy.
 
-        A no-op for entries no longer cached: a candidate handed out
-        by the description can lose the race with a concurrent
-        eviction, and the policy must not resurrect bookkeeping for a
-        dead entry."""
-        with self._lock:
-            if entry.entry_id not in self._entries:
-                return
-            entry.last_used = next(self._tick)
-            entry.access_count += 1
-            self.policy.on_access(entry)
+        A no-op for entries no longer cached: the policy must not
+        resurrect bookkeeping for a dead entry."""
+        if entry.entry_id not in self._entries:
+            return
+        entry.last_used = next(self._tick)
+        entry.access_count += 1
+        self.policy.on_access(entry)
 
     # ------------------------------------------------------------- store
     def store(
@@ -243,71 +189,67 @@ class CacheManager:
         paper's cache stores whole files or nothing).
         """
         report = MaintenanceReport()
-        with self._lock:
-            key = bound.cache_key()
-            existing = self._by_key.get(key)
-            if existing is not None:
-                # Identical query raced in (e.g. after an eviction);
-                # replace.
-                old = self._entries[existing]
-                report.description_work += self._remove(old)
-                self._log_removed(old, "replace")
-            size = result.byte_size()
-            if self.max_bytes is not None and size > self.max_bytes:
-                return None, report
-            report.description_work += self._make_room(size, report)
-            entry = CacheEntry(
-                entry_id=next(self._ids),
-                template_id=bound.template_id,
-                cache_key=key,
-                region=bound.region,
-                signature=signature,
-                truncated=truncated,
-                byte_size=size,
-                row_count=len(result),
-                store=self.result_store,
-                last_used=next(self._tick),
-            )
-            self.result_store.put(entry.entry_id, result)
-            self._entries[entry.entry_id] = entry
-            self._by_key[key] = entry.entry_id
-            self.policy.on_insert(entry)
-            self.current_bytes += size
-            self.insertions += 1
-            report.stored_bytes = size
-            report.description_work += self.description.add(entry)
-            self._notify("insert", size)
-            if self.mutation_log is not None:
-                self.mutation_log.admitted(entry)
-            return entry, report
+        key = bound.cache_key()
+        existing = self._by_key.get(key)
+        if existing is not None:
+            # An identical query is already cached; replace it.
+            old = self._entries[existing]
+            report.description_work += self._remove(old)
+            self._log_removed(old, "replace")
+        size = result.byte_size()
+        if self.max_bytes is not None and size > self.max_bytes:
+            return None, report
+        report.description_work += self._make_room(size, report)
+        entry = CacheEntry(
+            entry_id=next(self._ids),
+            template_id=bound.template_id,
+            cache_key=key,
+            region=bound.region,
+            signature=signature,
+            truncated=truncated,
+            byte_size=size,
+            row_count=len(result),
+            store=self.result_store,
+            last_used=next(self._tick),
+        )
+        self.result_store.put(entry.entry_id, result)
+        self._entries[entry.entry_id] = entry
+        self._by_key[key] = entry.entry_id
+        self.policy.on_insert(entry)
+        self.current_bytes += size
+        self.insertions += 1
+        report.stored_bytes = size
+        report.description_work += self.description.add(entry)
+        self._notify("insert", size)
+        if self.mutation_log is not None:
+            self.mutation_log.admitted(entry)
+        return entry, report
 
     def clear(self) -> int:
         """Drop every entry (origin data-version change); returns the
         number of entries removed."""
-        with self._lock:
-            removed = 0
-            for entry in list(self._entries.values()):
-                self._remove(entry)
-                removed += 1
-            if removed:
-                self._notify("clear", 0)
-                if self.mutation_log is not None:
-                    self.mutation_log.cleared(removed)
-            return removed
+        removed = 0
+        for entry in list(self._entries.values()):
+            self._remove(entry)
+            removed += 1
+        if removed:
+            self._notify("clear", 0)
+            if self.mutation_log is not None:
+                self.mutation_log.cleared(removed)
+        return removed
 
     def remove(self, entry: CacheEntry) -> MaintenanceReport:
         """Remove a specific entry (region-containment consolidation).
 
-        Idempotent: consolidation may target an entry that a concurrent
-        eviction (making room for the merged result) already removed.
+        Idempotent: consolidation may target an entry that the eviction
+        making room for the merged result already removed.
         """
         report = MaintenanceReport()
-        with self._lock:
-            if entry.entry_id in self._entries:
-                report.description_work += self._remove(entry)
-                self._notify("remove", entry.byte_size)
-                self._log_removed(entry, "consolidate")
-            return report
+        if entry.entry_id in self._entries:
+            report.description_work += self._remove(entry)
+            self._notify("remove", entry.byte_size)
+            self._log_removed(entry, "consolidate")
+        return report
 
     # ----------------------------------------------------------- private
     def _make_room(self, incoming: int, report: MaintenanceReport) -> float:
@@ -344,9 +286,6 @@ class CacheManager:
             )
 
     def _remove(self, entry: CacheEntry) -> float:
-        # Key index first: a reader that found the key must still find
-        # the entry (the inverse order would open a KeyError window for
-        # any future lock-free lookup).
         self._by_key.pop(entry.cache_key, None)
         del self._entries[entry.entry_id]
         self.current_bytes -= entry.byte_size

@@ -88,7 +88,6 @@ from repro.faults.resilience import (
     ResilienceConfig,
 )
 from repro.geometry.relations import RegionRelation, relate
-from repro.locking import guarded_by, named_lock
 from repro.network.clock import SimulatedClock
 from repro.network.link import Topology
 from repro.obs.decisions import region_summary
@@ -120,28 +119,16 @@ class ProxyResponse:
         return self.record.response_ms
 
 
-@guarded_by(
-    "proxy.state",
-    "origin",
-    "topology",
-    "fault_plan",
-    "_query_index",
-    "_seen_data_version",
-    "invalidations",
-)
 class FunctionProxy:
     """A template-based caching proxy for function-embedded queries.
 
-    ``serve`` runs as a sequence of explicitly named, reentrant stages
-    — ``_begin_query`` (admission), ``_stage_parse_bind``,
+    ``serve`` runs as a sequence of explicitly named stages —
+    ``_begin_query`` (admission), ``_stage_parse_bind``,
     ``_stage_cache_probe``, ``_stage_local_eval``, ``_origin_fetch``,
     ``_stage_merge``, ``_stage_admit``, ``_respond`` — each owning its
-    step charge, so concurrent serves interleave at stage boundaries.
-    The proxy's own mutable state (the query counter, the data-version
-    fence, and the fault-injection wrappers around origin/topology) is
-    guarded by the outermost ``proxy.state`` named lock; everything
-    else a stage touches synchronizes in the component that owns it
-    (cache, templates, decision log, persister).
+    step charge.  The proxy is a single-owner object: one thread calls
+    it at a time, and it takes no locks (the Flask apps serialize
+    requests, see :func:`repro.webapp.serialize_requests`).
     """
 
     def __init__(
@@ -166,7 +153,6 @@ class FunctionProxy:
     ) -> None:
         if max_holes < 1:
             raise ValueError("max_holes must be at least 1")
-        self._lock = named_lock("proxy.state")
         self.origin = origin
         self.templates = templates
         self.scheme = scheme
@@ -308,8 +294,7 @@ class FunctionProxy:
     def _on_breaker_transition(self, state: BreakerState) -> None:
         """Origin-breaker callback: gauge update plus an EV01-03 event.
 
-        The breaker fires this after releasing its lock, and only on
-        actual state changes, so every call is one timeline-worthy
+        The breaker fires this only on actual state changes, so every call is one timeline-worthy
         transition.
         """
         self.obs.breaker_transition(BREAKER_STATE_VALUES[state])
@@ -328,20 +313,19 @@ class FunctionProxy:
         plan loaded mid-trace simply starts misbehaving from the
         current simulated time on.
         """
-        with self._lock:
-            if plan is None:
-                self.origin = self._base_origin
-                self.topology = self._base_topology
-                self.fault_plan = None
-                return
-            session = plan.session()
-            self.origin = FaultyOrigin(
-                self._base_origin, session, self.clock
-            )
-            self.topology = FaultyTopology(
-                self._base_topology, session, self.clock
-            )
-            self.fault_plan = plan
+        if plan is None:
+            self.origin = self._base_origin
+            self.topology = self._base_topology
+            self.fault_plan = None
+            return
+        session = plan.session()
+        self.origin = FaultyOrigin(
+            self._base_origin, session, self.clock
+        )
+        self.topology = FaultyTopology(
+            self._base_topology, session, self.clock
+        )
+        self.fault_plan = plan
 
     # ------------------------------------------------------------ public
     def serve_form(
@@ -419,14 +403,13 @@ class FunctionProxy:
                             bound, observation, policy
                         )
                     except ResultStoreError as exc:
-                        # A cache-hit path lost its entry mid-serve (a
-                        # concurrent store evicted a candidate between
-                        # the description probe and the result read).
-                        # The query is still answerable — treat it as
-                        # a miss and forward.
+                        # A cache-hit path could not read its entry's
+                        # stored result (a file-backed store with a
+                        # missing or corrupt file).  The query is still
+                        # answerable — treat it as a miss and forward.
                         if observation.decision is not None:
                             observation.decision.note(
-                                "cache entry evicted mid-serve "
+                                "cached result unreadable "
                                 f"({exc}); forwarded instead"
                             )
                         response = self._forward_and_cache(
@@ -490,25 +473,21 @@ class FunctionProxy:
         fence: shed queries must leave the cache (and thus the journal)
         untouched.
         """
-        with self._lock:
-            self._query_index += 1
-            return self._query_index
+        self._query_index += 1
+        return self._query_index
 
     def _begin_query(self) -> tuple[int, object]:
         """Stage 0 (admission): assign the query's index and fence the
         data version.
 
-        Runs under the ``proxy.state`` lock so concurrent serves get
-        distinct indices and never race the version-change cache
-        flush.  Returns ``(index, data_version)`` — the version the
-        query is admitted under travels on the observation so
-        ``_stage_admit`` can refuse to cache a result fetched before a
-        concurrent flush (see the fence re-check there).
+        Returns ``(index, data_version)`` — the version the query is
+        admitted under travels on the observation so ``_stage_admit``
+        can refuse to cache a result fetched before a version flush
+        (see the fence re-check there).
         """
-        with self._lock:
-            self._query_index += 1
-            flushed = self._check_data_version()
-            index, version = self._query_index, self._seen_data_version
+        self._query_index += 1
+        flushed = self._check_data_version()
+        index, version = self._query_index, self._seen_data_version
         if flushed is not None:
             self.obs.telemetry_event(
                 EV_DATA_VERSION_FLUSH,
@@ -549,10 +528,9 @@ class FunctionProxy:
 
     def _stage_cache_probe(self, bound, observation, policy) -> ProxyResponse:
         """Stage 2 (cache probe): dispatch on the cache relation."""
-        exact = self.cache.exact_match_pinned(bound)
+        exact = self.cache.exact_match(bound)
         if exact is not None:
-            entry, result = exact
-            return self._serve_exact(bound, entry, result, observation)
+            return self._serve_exact(bound, exact, observation)
         if not policy.handles_containment:
             return self._forward_and_cache(
                 bound, observation, QueryStatus.FORWARDED
@@ -649,24 +627,20 @@ class FunctionProxy:
         """
         with observation.phase("maintenance") as admit:
             truncated = self._is_truncated(bound, origin_result)
-            # Re-check the data-version fence at admission, atomically
-            # with the flush: _begin_query fences only the *start* of
-            # the query, so a result fetched before a concurrent
-            # version bump could otherwise be re-admitted into the
-            # freshly flushed cache and serve stale EXACT hits
-            # forever.  proxy.state -> proxy.cache is the established
-            # acquisition order (_check_data_version flushes the cache
-            # under the same nesting).
-            with self._lock:
-                admissible = (
-                    observation.data_version == self._seen_data_version
+            # Re-check the data-version fence at admission:
+            # _begin_query fences only the *start* of the query, so a
+            # result fetched before a version flush could otherwise be
+            # re-admitted into the freshly flushed cache and serve
+            # stale EXACT hits forever.
+            admissible = (
+                observation.data_version == self._seen_data_version
+            )
+            if admissible:
+                entry, report = self.cache.store(
+                    bound, result, self._signature(bound), truncated
                 )
-                if admissible:
-                    entry, report = self.cache.store(
-                        bound, result, self._signature(bound), truncated
-                    )
-                else:
-                    entry, report = None, MaintenanceReport()
+            else:
+                entry, report = None, MaintenanceReport()
             if not admissible and observation.decision is not None:
                 observation.decision.note(
                     "admission fenced: origin data version changed "
@@ -823,11 +797,9 @@ class FunctionProxy:
 
     # ------------------------------------------------------ case (a)
     def _serve_exact(
-        self, bound, entry: CacheEntry, result: ResultTable, observation
+        self, bound, entry: CacheEntry, observation
     ) -> ProxyResponse:
-        """``result`` is the entry's stored result, read by the probe
-        stage under ``proxy.cache`` (pinned): reading it here instead
-        would race a concurrent eviction of ``entry``."""
+        result = entry.result
         outcome = self._cache_answer_outcome()
         if observation.decision is not None:
             observation.decision.record_candidate(
@@ -1044,7 +1016,7 @@ class FunctionProxy:
         (paper property 1: "nothing changes over time").  Origins
         without a version attribute are treated as immutable.  Returns
         the number of entries flushed, or None when the version held
-        (the caller owes a flush event — emitted outside the lock).
+        (the caller owes a flush event).
         """
         version = getattr(self.origin, "data_version", None)
         if version == self._seen_data_version:

@@ -22,7 +22,6 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.locking import guarded_by, named_lock, unshared
 
 
 class QueryStatus(enum.Enum):
@@ -65,10 +64,6 @@ ANSWERED_OUTCOMES = (
 )
 
 
-# A record is only ever written by the one thread serving its query
-# (the router's slow-window penalty included); aggregate readers wait
-# for the run to finish, hence unshared rather than a lock.
-@unshared("response_ms", "steps_ms")
 @dataclass
 class QueryRecord:
     """Everything measured about one query."""
@@ -136,23 +131,14 @@ class QueryRecord:
         return self.tuples_from_cache / self.tuples_total
 
 
-@guarded_by("proxy.stats", "records")
 class TraceStats:
-    """Aggregates over a sequence of query records.
-
-    ``add`` is the only mutator and takes the ``proxy.stats`` lock;
-    the aggregate properties read the list without it (appends are
-    atomic under the GIL, and the aggregates are monitoring output,
-    not control flow).
-    """
+    """Aggregates over a sequence of query records."""
 
     def __init__(self, records: Iterable[QueryRecord] | None = None) -> None:
-        self._lock = named_lock("proxy.stats")
         self.records: list[QueryRecord] = list(records or [])
 
     def add(self, record: QueryRecord) -> None:
-        with self._lock:
-            self.records.append(record)
+        self.records.append(record)
 
     def __len__(self) -> int:
         return len(self.records)

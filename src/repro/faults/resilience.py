@@ -32,7 +32,6 @@ from repro.faults.errors import (
     OriginUnavailable,
     OriginUnavailableError,
 )
-from repro.locking import guarded_by, named_lock
 from repro.network.clock import SimulatedClock
 from repro.relational.errors import RelationalError
 from repro.server.origin import OriginResponse
@@ -97,24 +96,14 @@ BREAKER_STATE_VALUES: dict[BreakerState, int] = {
 }
 
 
-@guarded_by(
-    "proxy.admission",
-    "_state",
-    "_consecutive_failures",
-    "_opened_at_ms",
-    "_probe_in_flight",
-    "opens",
-)
 class CircuitBreaker:
     """Closed / open / half-open over the simulated clock.
 
-    Thread-safe: all state moves under the ``proxy.admission`` lock,
-    and in half-open exactly **one** probe is in flight at a time —
+    In half-open exactly **one** probe is in flight at a time —
     ``allow()`` admits the first caller after the cooldown and refuses
     the rest until that probe resolves via ``record_success`` /
-    ``record_failure``.  State-change callbacks fire *after* the lock
-    is released, so a listener may take its own locks without creating
-    an acquisition edge under ``proxy.admission``.
+    ``record_failure``.  State-change callbacks fire after the state
+    has moved.
     """
 
     def __init__(
@@ -130,7 +119,6 @@ class CircuitBreaker:
             )
         if cooldown_ms <= 0:
             raise ValueError(f"cooldown must be positive: {cooldown_ms}")
-        self._lock = named_lock("proxy.admission")
         self._clock = clock
         self.failure_threshold = failure_threshold
         self.cooldown_ms = cooldown_ms
@@ -146,8 +134,8 @@ class CircuitBreaker:
         return self._state
 
     def _transition(self, state: BreakerState) -> BreakerState | None:
-        """Move to ``state`` (lock held by the caller); returns the new
-        state when it changed so the caller can notify after release."""
+        """Move to ``state``; returns the new state when it changed so
+        the caller can notify once its bookkeeping is done."""
         if state is self._state:
             return None
         self._state = state
@@ -161,46 +149,43 @@ class CircuitBreaker:
         """Whether an origin attempt may proceed right now.
 
         An open breaker whose cooldown elapsed moves to half-open and
-        admits exactly one probe attempt; concurrent callers are
-        refused until that probe resolves.
+        admits exactly one probe attempt; later callers are refused
+        until that probe resolves.
         """
         changed: BreakerState | None = None
         admitted = True
-        with self._lock:
-            if self._state is BreakerState.OPEN:
-                elapsed = self._clock.now_ms - self._opened_at_ms
-                if elapsed < self.cooldown_ms:
-                    admitted = False
-                else:
-                    changed = self._transition(BreakerState.HALF_OPEN)
-            if admitted and self._state is BreakerState.HALF_OPEN:
-                if self._probe_in_flight:
-                    admitted = False
-                else:
-                    self._probe_in_flight = True
+        if self._state is BreakerState.OPEN:
+            elapsed = self._clock.now_ms - self._opened_at_ms
+            if elapsed < self.cooldown_ms:
+                admitted = False
+            else:
+                changed = self._transition(BreakerState.HALF_OPEN)
+        if admitted and self._state is BreakerState.HALF_OPEN:
+            if self._probe_in_flight:
+                admitted = False
+            else:
+                self._probe_in_flight = True
         self._notify(changed)
         return admitted
 
     def record_success(self) -> None:
-        with self._lock:
-            self._consecutive_failures = 0
-            self._probe_in_flight = False
-            changed = self._transition(BreakerState.CLOSED)
+        self._consecutive_failures = 0
+        self._probe_in_flight = False
+        changed = self._transition(BreakerState.CLOSED)
         self._notify(changed)
 
     def record_failure(self) -> None:
         changed: BreakerState | None = None
-        with self._lock:
-            self._consecutive_failures += 1
-            self._probe_in_flight = False
-            if (
-                self._state is BreakerState.HALF_OPEN
-                or self._consecutive_failures >= self.failure_threshold
-            ):
-                if self._state is not BreakerState.OPEN:
-                    self.opens += 1
-                self._opened_at_ms = self._clock.now_ms
-                changed = self._transition(BreakerState.OPEN)
+        self._consecutive_failures += 1
+        self._probe_in_flight = False
+        if (
+            self._state is BreakerState.HALF_OPEN
+            or self._consecutive_failures >= self.failure_threshold
+        ):
+            if self._state is not BreakerState.OPEN:
+                self.opens += 1
+            self._opened_at_ms = self._clock.now_ms
+            changed = self._transition(BreakerState.OPEN)
         self._notify(changed)
 
 

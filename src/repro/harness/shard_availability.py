@@ -320,6 +320,8 @@ def run_scenario(
         handoff_replayed = sum(h.replayed for h in router.handoffs)
         tunnel_metric = router.registry.get("router_tunnel_total")
         tunneled = int(tunnel_metric.total()) if tunnel_metric else 0
+        failover_metric = router.registry.get("router_failover_total")
+        failovers = int(failover_metric.total()) if failover_metric else 0
         return AvailabilityPoint(
             shards=n_shards,
             scenario=scenario,
@@ -333,11 +335,7 @@ def run_scenario(
             shed=counts.get(QueryOutcome.SHED, 0)
             + counts.get(QueryOutcome.QUEUED_TIMEOUT, 0),
             tunneled=tunneled,
-            failovers=sum(
-                1
-                for decision in router.recent_decisions()
-                if decision.rerouted
-            ),
+            failovers=failovers,
             handoff_entries=handoff_entries,
             handoff_replayed=handoff_replayed,
             end_ms=driver.loop.now_ms,

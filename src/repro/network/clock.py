@@ -2,24 +2,16 @@
 
 from __future__ import annotations
 
-from repro.locking import guarded_by, named_lock
 
-
-@guarded_by("proxy.clock", "_now_ms")
 class SimulatedClock:
     """Monotonic simulated time in milliseconds.
 
     Components advance the clock by the cost of their work; nothing ever
     reads the real time, so experiment results are reproducible across
     machines and runs.
-
-    ``advance`` takes the ``proxy.clock`` named lock so concurrent
-    serve stages charging costs never lose an increment; ``now_ms``
-    reads without it (a float read is atomic under the GIL).
     """
 
     def __init__(self) -> None:
-        self._lock = named_lock("proxy.clock")
         self._now_ms = 0.0
 
     @property
@@ -29,8 +21,7 @@ class SimulatedClock:
     def advance(self, delta_ms: float) -> None:
         if delta_ms < 0:
             raise ValueError(f"cannot advance time by {delta_ms} ms")
-        with self._lock:
-            self._now_ms += delta_ms
+        self._now_ms += delta_ms
 
     def measure(self) -> "_Span":
         """Context-free span helper: ``span = clock.measure()`` ...

@@ -50,7 +50,10 @@ from repro.geometry.regions import (
     HyperSphere,
     Region,
 )
-from repro.locking import guarded_by, named_lock, unshared
+
+#: Default retention of a decision log (and of the shard router's
+#: routing-decision ring).
+DECISION_LOG_CAPACITY = 256
 
 
 class DecisionAction(enum.Enum):
@@ -211,25 +214,12 @@ class EvictionRecord:
         }
 
 
-@unshared(
-    "candidates",
-    "remainder",
-    "evictions",
-    "consolidated",
-    "admitted",
-    "notes",
-    "status",
-    "outcome",
-    "action",
-    "trace_id",
-)
 @dataclass
 class DecisionTrace:
     """The full reasoning record of one query's cache decision.
 
-    A trace in flight belongs to the single query (and thread) being
-    served — hence the ``unshared`` registration; it becomes shared
-    only once sealed and handed to :meth:`DecisionLog.record`.
+    A trace in flight belongs to the single query being served; it
+    is sealed and handed to :meth:`DecisionLog.record` at the end.
     """
 
     query_id: int
@@ -324,22 +314,17 @@ class DecisionTrace:
         return payload
 
 
-@guarded_by("proxy.decisions", "_capacity", "_traces", "_by_id")
 class DecisionLog:
     """A bounded ring buffer of finished decision traces.
 
     Indexed by query id for ``GET /explain/<query_id>``; the index
     drops entries as the ring evicts them, so memory stays bounded by
-    ``capacity`` regardless of trace length.  Mutators (``record`` /
-    ``resize`` / ``clear``) take the ``proxy.decisions`` lock; reads
-    copy under it so the explain endpoints can render while queries
-    keep recording.
+    ``capacity`` regardless of trace length.
     """
 
-    def __init__(self, capacity: int = 256) -> None:
+    def __init__(self, capacity: int = DECISION_LOG_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be positive: {capacity}")
-        self._lock = named_lock("proxy.decisions")
         self._capacity = capacity
         self._traces: list[DecisionTrace] = []
         self._by_id: dict[int, DecisionTrace] = {}
@@ -369,18 +354,16 @@ class DecisionLog:
         )
 
     def record(self, trace: DecisionTrace) -> None:
-        with self._lock:
-            self._traces.append(trace)
-            self._by_id[trace.query_id] = trace
-            self._trim()
+        self._traces.append(trace)
+        self._by_id[trace.query_id] = trace
+        self._trim()
 
     def resize(self, capacity: int) -> None:
         """Change the retention bound, trimming oldest traces to fit."""
         if capacity < 1:
             raise ValueError(f"capacity must be positive: {capacity}")
-        with self._lock:
-            self._capacity = capacity
-            self._trim()
+        self._capacity = capacity
+        self._trim()
 
     def _trim(self) -> None:
         while len(self._traces) > self._capacity:
@@ -393,24 +376,20 @@ class DecisionLog:
 
     def recent(self, n: int | None = None) -> list[dict[str, Any]]:
         """The most recent decisions as dicts, oldest first."""
-        with self._lock:
-            traces = list(self._traces)
+        traces = self._traces
         if n is not None:
             traces = traces[-n:] if n > 0 else []
         return [trace.to_dict() for trace in traces]
 
     def action_counts(self) -> dict[str, int]:
         """How many retained decisions took each action."""
-        with self._lock:
-            traces = list(self._traces)
         counts: dict[str, int] = {}
-        for trace in traces:
+        for trace in self._traces:
             if trace.action is not None:
                 key = trace.action.value
                 counts[key] = counts.get(key, 0) + 1
         return counts
 
     def clear(self) -> None:
-        with self._lock:
-            self._traces.clear()
-            self._by_id.clear()
+        self._traces.clear()
+        self._by_id.clear()

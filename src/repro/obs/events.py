@@ -19,9 +19,7 @@ on it.
 Two implementations share the interface, following the
 :class:`~repro.obs.profiling.NullProfiler` pattern:
 
-* :class:`EventRecorder` — records everything, guarded by the
-  ``proxy.telemetry`` named lock (a pure sink in the lock-order
-  graph: emitters may hold their own locks while emitting);
+* :class:`EventRecorder` — records everything;
 * :class:`NullEventRecorder` — the default off switch: ``emit`` is a
   single no-op method call, preserving the PR 6 overhead contract.
 """
@@ -31,7 +29,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Mapping
 
-from repro.locking import guarded_by, named_lock, read_only
 
 #: The origin circuit breaker opened (origin presumed down).
 EV_BREAKER_OPEN = "EV01"
@@ -102,10 +99,8 @@ SHED_POLICY_EVENT_CODES: Mapping[str, str] = {
 EVICTION_STORM_THRESHOLD = 4
 
 
-@guarded_by("proxy.telemetry", "_events", "_total", "_counts")
-@read_only("capacity")
 class EventRecorder:
-    """A bounded, thread-safe recorder of pinned serve-path events.
+    """A bounded recorder of pinned serve-path events.
 
     ``emit`` validates the code against :data:`EVENT_CODES` — an
     unknown code is a programming error, caught loudly rather than
@@ -120,7 +115,6 @@ class EventRecorder:
         if capacity < 1:
             raise ValueError(f"capacity must be positive: {capacity}")
         self.capacity = capacity
-        self._lock = named_lock("proxy.telemetry")
         self._events: deque[dict[str, Any]] = deque(maxlen=capacity)
         self._total = 0
         self._counts: dict[str, int] = {}
@@ -151,15 +145,13 @@ class EventRecorder:
             event["query_index"] = query_index
         if payload:
             event["payload"] = payload
-        with self._lock:
-            self._events.append(event)
-            self._total += 1
-            self._counts[code] = self._counts.get(code, 0) + 1
+        self._events.append(event)
+        self._total += 1
+        self._counts[code] = self._counts.get(code, 0) + 1
 
     def recent(self, n: int | None = None) -> list[dict[str, Any]]:
         """The newest ``n`` retained events, oldest first."""
-        with self._lock:
-            events = [dict(event) for event in self._events]
+        events = [dict(event) for event in self._events]
         if n is not None and n >= 0:
             events = events[-n:] if n else []
         return events
@@ -167,25 +159,22 @@ class EventRecorder:
     @property
     def total(self) -> int:
         """Events emitted over the recorder's lifetime."""
-        with self._lock:
-            return self._total
+        return self._total
 
     def counts(self) -> dict[str, int]:
         """Lifetime emission count per event code."""
-        with self._lock:
-            return dict(self._counts)
+        return dict(self._counts)
 
     def snapshot(self) -> dict[str, Any]:
         """The whole buffer as a JSON-able dict (the wire format)."""
-        with self._lock:
-            return {
-                "enabled": True,
-                "clock": "sim-ms",
-                "capacity": self.capacity,
-                "total": self._total,
-                "counts": dict(sorted(self._counts.items())),
-                "events": [dict(event) for event in self._events],
-            }
+        return {
+            "enabled": True,
+            "clock": "sim-ms",
+            "capacity": self.capacity,
+            "total": self._total,
+            "counts": dict(sorted(self._counts.items())),
+            "events": [dict(event) for event in self._events],
+        }
 
 
 class NullEventRecorder:

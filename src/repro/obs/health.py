@@ -31,16 +31,14 @@ and shed-policy transitions that caused them.
 :func:`evaluate_samples` is a pure function over exported samples —
 the ``repro.obs.report`` CLI re-runs it offline on a
 ``timeseries-<label>.json`` artifact.  :class:`HealthMonitor` wraps it
-with state (the last verdict, for EV11) guarded by the
-``proxy.telemetry`` lock; :class:`NullHealthMonitor` is the shared
-no-op default.
+with state (the last verdict, for EV11); :class:`NullHealthMonitor` is
+the shared no-op default.
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping
 
-from repro.locking import guarded_by, named_lock
 from repro.obs.events import EV_HEALTH_STATE_CHANGE, NULL_EVENTS
 from repro.obs.slo import SloTracker
 
@@ -269,7 +267,6 @@ def strictest_latency_objective(slo: SloTracker | None) -> float | None:
     )
 
 
-@guarded_by("proxy.telemetry", "_last_status", "_queue_limit")
 class HealthMonitor:
     """Stateful wrapper: evaluate, remember, fire EV11 on change.
 
@@ -295,28 +292,24 @@ class HealthMonitor:
         if latency_slo_ms is None:
             latency_slo_ms = strictest_latency_objective(slo)
         self.latency_slo_ms = latency_slo_ms
-        self._lock = named_lock("proxy.telemetry")
         self._queue_limit = queue_limit
         self._last_status: str | None = None
 
     def set_queue_limit(self, queue_limit: int | None) -> None:
         """Late-bind the accept queue's depth limit (HR04's yardstick)."""
-        with self._lock:
-            self._queue_limit = queue_limit
+        self._queue_limit = queue_limit
 
     def evaluate(self, now_ms: float) -> dict[str, Any]:
         """One full rule pass at simulated time ``now_ms``."""
-        with self._lock:
-            queue_limit = self._queue_limit
+        queue_limit = self._queue_limit
         report = evaluate_samples(
             self.timeseries.samples(),
             latency_slo_ms=self.latency_slo_ms,
             queue_limit=queue_limit,
         )
         status = str(report["status"])
-        with self._lock:
-            previous = self._last_status
-            self._last_status = status
+        previous = self._last_status
+        self._last_status = status
         changed = (
             previous != status
             if previous is not None

@@ -29,7 +29,6 @@ from contextlib import contextmanager
 from types import TracebackType
 from typing import TYPE_CHECKING, Any, Iterator
 
-from repro.locking import read_only, unshared
 from repro.obs.decisions import DecisionLog, DecisionTrace
 from repro.obs.events import NULL_EVENTS
 from repro.obs.health import NULL_HEALTH, HealthMonitor
@@ -60,12 +59,10 @@ BYTES_BUCKETS = (
 )
 
 
-@unshared("sim_ms", "wall_ms")
 class _PhaseHandle:
     """What an instrumented phase yields: charge sim time, annotate.
 
-    A handle lives inside one phase of one query on one thread —
-    never shared, hence the ``unshared`` registration.
+    A handle lives inside one phase of one query.
     """
 
     __slots__ = ("name", "span", "sim_ms", "wall_ms", "_clock", "_frame")
@@ -104,8 +101,6 @@ class _PhaseHandle:
             self._frame.count(counter, n)
 
 
-@unshared("steps", "check_wall_ms", "decision", "data_version")
-@read_only("index")
 class QueryObservation:
     """One query's lifecycle: step charges + nested spans.
 
@@ -118,9 +113,8 @@ class QueryObservation:
     simulated charge also advances it, making the observation the one
     place where per-step costs and the proxy's timeline stay in sync.
 
-    An observation belongs to the one thread serving its query (the
-    ``unshared`` registration); ``index`` — the query's position in
-    the proxy's admission order — is fixed at construction.
+    ``index`` — the query's position in the proxy's admission order —
+    is fixed at construction.
     """
 
     __slots__ = (
@@ -247,18 +241,12 @@ class QueryObservation:
         self._root.charge(sim_ms)
 
 
-@unshared(
-    "tracer", "profiler", "timeseries", "events", "health", "_queue_limit"
-)
 class ProxyInstrumentation:
     """The proxy's metric families, tracer, decision log, and hooks.
 
     ``tracer`` / ``profiler`` — and the telemetry trio ``timeseries``
-    / ``events`` / ``health`` — are rebound only during
-    single-threaded deployment wiring (the web apps swap in live
-    recorders before any request thread starts), hence the
-    ``unshared`` waiver; the objects behind them synchronize
-    internally.
+    / ``events`` / ``health`` — are rebound only during deployment
+    wiring (the web apps swap in live recorders before serving).
     """
 
     def __init__(
@@ -473,8 +461,8 @@ class ProxyInstrumentation:
     ) -> None:
         """Deployment wiring: swap in live telemetry recorders.
 
-        Like tracer/profiler rebinding, legal only during
-        single-threaded wiring before any request thread starts.
+        Like tracer/profiler rebinding, legal only during wiring,
+        before serving starts.
         """
         if timeseries is not None:
             self.timeseries = timeseries
@@ -648,12 +636,11 @@ class ProxyInstrumentation:
         self.transfer_bytes.labels(hop=hop).inc(n_bytes)
 
 
-@unshared("tracer", "profiler", "timeseries", "events", "health")
 class OriginInstrumentation:
     """The origin server's metric families and tracer.
 
-    Same waiver as :class:`ProxyInstrumentation`: rebound only during
-    single-threaded deployment wiring.
+    Like :class:`ProxyInstrumentation`, its tracer and profiler are
+    rebound only during deployment wiring.
     """
 
     def __init__(

@@ -30,8 +30,8 @@ Two implementations share the interface:
 
 Stage names are stable identifiers (pinned in DESIGN.md, like the
 diagnostic codes): renaming one is a breaking change for anything
-filtering profiles or baselines by stage.  Profilers are not
-thread-safe; each proxy/origin owns its own, matching the tracers.
+filtering profiles or baselines by stage.  Each proxy/origin owns
+its own profiler, matching the tracers.
 """
 
 from __future__ import annotations

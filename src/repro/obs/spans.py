@@ -23,11 +23,9 @@ Two tracers share the interface:
   allocation per stage.  This is the default on the hot path.
 
 Thread model: the *open-span stack* (and the adopted remote parent)
-is per-thread state — each request thread nests its own spans — while
-the finished-root ring buffer and the ``spans_started`` counter are
-shared across threads and guarded by the ``proxy.trace`` named lock.
-A :class:`Span` object itself belongs to the one thread that opened
-it (the ``unshared`` registration below).
+is per-thread state, so each thread nests its own spans.  The
+finished-root ring buffer and the ``spans_started`` counter belong to
+the tracer's owner, which calls it from one thread at a time.
 """
 
 from __future__ import annotations
@@ -40,20 +38,9 @@ from contextlib import contextmanager
 from types import TracebackType
 from typing import Any, Callable, Iterator
 
-from repro.locking import guarded_by, named_lock, unshared
 from repro.obs.propagation import IdGenerator, TraceContext
 
 
-@unshared(
-    "attrs",
-    "children",
-    "wall_ms",
-    "sim_ms",
-    "trace_id",
-    "span_id",
-    "parent_id",
-    "_start",
-)
 class Span:
     """One stage of work; a context manager bound to its tracer."""
 
@@ -142,8 +129,6 @@ class Span:
         )
 
 
-@guarded_by("proxy.trace", "_finished", "spans_started")
-@unshared("_local")
 class SpanTracer:
     """Records nested spans; keeps the last ``capacity`` root spans."""
 
@@ -159,10 +144,7 @@ class SpanTracer:
             raise ValueError(f"capacity must be positive: {capacity}")
         self._clock = clock
         self._ids = ids if ids is not None else IdGenerator()
-        self._lock = named_lock("proxy.trace")
-        #: Per-thread open-span stack and adopted remote parent; the
-        #: attribute itself is rebound only here (hence ``unshared``),
-        #: the state behind it is thread-local by construction.
+        #: Per-thread open-span stack and adopted remote parent.
         self._local = threading.local()
         self._finished: deque[Span] = deque(maxlen=capacity)
         self.spans_started = 0
@@ -212,8 +194,7 @@ class SpanTracer:
         else:
             span.trace_id = self._ids.trace_id()
         stack.append(span)
-        with self._lock:
-            self.spans_started += 1
+        self.spans_started += 1
 
     def _pop(self, span: Span) -> None:
         # Tolerate out-of-order exits by unwinding to the span.
@@ -225,8 +206,7 @@ class SpanTracer:
         if stack:
             stack[-1].children.append(span)
         else:
-            with self._lock:
-                self._finished.append(span)
+            self._finished.append(span)
 
     # ------------------------------------------------------- propagation
     def current_context(self) -> TraceContext | None:
@@ -272,24 +252,21 @@ class SpanTracer:
 
         ``n`` bounds the result; zero and negative values yield [].
         """
-        with self._lock:  # snapshot: renders happen outside the lock
-            roots = list(self._finished)
+        roots = list(self._finished)
         if n is not None:
             roots = roots[-n:] if n > 0 else []
         return [root.to_dict() for root in roots]
 
     def find_trace(self, trace_id: str) -> list[dict[str, Any]]:
         """All retained root spans belonging to one trace id."""
-        with self._lock:
-            roots = list(self._finished)
         return [
-            root.to_dict() for root in roots if root.trace_id == trace_id
+            root.to_dict()
+            for root in self._finished
+            if root.trace_id == trace_id
         ]
 
     def iter_jsonl(self) -> Iterator[str]:
-        with self._lock:
-            roots = list(self._finished)
-        for root in roots:
+        for root in self._finished:
             yield json.dumps(root.to_dict(), sort_keys=True)
 
     def export_jsonl(self) -> str:
@@ -306,8 +283,7 @@ class SpanTracer:
         return len(lines)
 
     def clear(self) -> None:
-        with self._lock:
-            self._finished.clear()
+        self._finished.clear()
 
 
 class _NullSpan:

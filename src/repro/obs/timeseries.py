@@ -23,8 +23,7 @@ time warp.
 
 The recorder is clock-agnostic: callers pass ``now_ms`` (the proxy
 passes its simulated work clock; tests may drive it from an event
-loop).  State is guarded by the ``proxy.telemetry`` named lock — a
-pure sink in the lock-order graph.  :class:`NullTimeSeries` is the
+loop).  :class:`NullTimeSeries` is the
 shared no-op default, keeping the PR 6 disabled-overhead contract
 (one method call per query, no allocation).
 """
@@ -36,7 +35,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
-from repro.locking import guarded_by, named_lock, read_only
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -152,15 +150,6 @@ def _window_quantiles(
     return out
 
 
-@guarded_by(
-    "proxy.telemetry",
-    "_registry",
-    "_samples",
-    "_last_t_ms",
-    "_counter_totals",
-    "_bucket_counts",
-)
-@read_only("interval_ms", "capacity", "lanes")
 class TimeSeriesRecorder:
     """Ring-buffered fixed-interval sampler over a metrics registry.
 
@@ -187,7 +176,6 @@ class TimeSeriesRecorder:
         self.interval_ms = float(interval_ms)
         self.capacity = capacity
         self.lanes = lanes
-        self._lock = named_lock("proxy.telemetry")
         self._registry: MetricsRegistry | None = None
         self._samples: deque[dict[str, Any]] = deque(maxlen=capacity)
         self._last_t_ms: float | None = None
@@ -202,28 +190,26 @@ class TimeSeriesRecorder:
         the counter baselines: the next window's deltas go negative
         and clamp to zero — one flat sample, never a negative rate.
         """
-        with self._lock:
-            self._registry = registry
+        self._registry = registry
 
     # ---------------------------------------------------------- sampling
     def maybe_sample(self, now_ms: float) -> dict[str, Any] | None:
         """Take one sample if ``now_ms`` crossed an interval boundary."""
-        with self._lock:
-            registry = self._registry
-            if registry is None:
-                return None
-            interval = self.interval_ms
-            if self._last_t_ms is None:
-                self._last_t_ms = math.floor(now_ms / interval) * interval
-                self._seed_baselines(registry)
-                return None
-            if now_ms < self._last_t_ms + interval:
-                return None
-            aligned = math.floor(now_ms / interval) * interval
-            sample = self._take(registry, aligned, aligned - self._last_t_ms)
-            self._last_t_ms = aligned
-            self._samples.append(sample)
-            return dict(sample)
+        registry = self._registry
+        if registry is None:
+            return None
+        interval = self.interval_ms
+        if self._last_t_ms is None:
+            self._last_t_ms = math.floor(now_ms / interval) * interval
+            self._seed_baselines(registry)
+            return None
+        if now_ms < self._last_t_ms + interval:
+            return None
+        aligned = math.floor(now_ms / interval) * interval
+        sample = self._take(registry, aligned, aligned - self._last_t_ms)
+        self._last_t_ms = aligned
+        self._samples.append(sample)
+        return dict(sample)
 
     def _seed_baselines(self, registry: MetricsRegistry) -> None:
         for counter_lane in self.lanes.counters:
@@ -294,26 +280,24 @@ class TimeSeriesRecorder:
     # ------------------------------------------------------------ export
     def samples(self) -> list[dict[str, Any]]:
         """The retained samples, oldest first (copies)."""
-        with self._lock:
-            return [dict(sample) for sample in self._samples]
+        return [dict(sample) for sample in self._samples]
 
     def snapshot(self) -> dict[str, Any]:
         """The wire format (see DESIGN.md): config, lanes, samples."""
-        with self._lock:
-            return {
-                "enabled": True,
-                "clock": "sim-ms",
-                "interval_ms": self.interval_ms,
-                "capacity": self.capacity,
-                "lanes": {
-                    "rates": [lane.name for lane in self.lanes.counters],
-                    "gauges": [lane.name for lane in self.lanes.gauges],
-                    "quantiles": [
-                        lane.name for lane in self.lanes.quantiles
-                    ],
-                },
-                "samples": [dict(sample) for sample in self._samples],
-            }
+        return {
+            "enabled": True,
+            "clock": "sim-ms",
+            "interval_ms": self.interval_ms,
+            "capacity": self.capacity,
+            "lanes": {
+                "rates": [lane.name for lane in self.lanes.counters],
+                "gauges": [lane.name for lane in self.lanes.gauges],
+                "quantiles": [
+                    lane.name for lane in self.lanes.quantiles
+                ],
+            },
+            "samples": [dict(sample) for sample in self._samples],
+        }
 
 
 class NullTimeSeries:

@@ -19,7 +19,6 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.locking import guarded_by, named_lock, unshared
 from repro.persistence.errors import PersistenceError
 from repro.persistence.records import (
     FrameOutcome,
@@ -32,15 +31,11 @@ from repro.persistence.records import (
 READ_BUFFER_SIZE = 4096
 
 
-@unshared(
-    "records", "bytes_replayed", "bytes_total", "stop_reason", "stop_detail"
-)
 @dataclass
 class JournalReadResult:
     """Everything one pass over a journal file learned.
 
-    Built and filled by the single thread running a replay, then
-    treated as read-only — hence the ``unshared`` registration.
+    Built and filled by one replay, then treated as read-only.
     """
 
     records: list[JournalRecord] = field(default_factory=list)
@@ -54,15 +49,8 @@ class JournalReadResult:
         return self.stop_reason is None
 
 
-@guarded_by("persistence.journal.file", "records_appended")
 class Journal:
-    """One append-only journal file of framed cache mutations.
-
-    ``append`` and ``reset`` serialize on the innermost persistence
-    lock, ``persistence.journal.file`` — frames from two threads must
-    never interleave inside the file, and the counter must match the
-    frames actually written.
-    """
+    """One append-only journal file of framed cache mutations."""
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
@@ -72,28 +60,25 @@ class Journal:
             raise PersistenceError(
                 f"cannot create journal directory {self.path.parent}: {exc}"
             ) from exc
-        self._lock = named_lock("persistence.journal.file")
         self.records_appended = 0
 
     # ----------------------------------------------------------- writing
     def append(self, record: JournalRecord, durable: bool = False) -> int:
         """Append one record; returns the frame's size in bytes."""
         frame = encode_record(record)
-        with self._lock:
-            with open(self.path, "ab") as handle:
-                handle.write(frame)
-                handle.flush()
-                if durable:
-                    os.fsync(handle.fileno())
-            self.records_appended += 1
+        with open(self.path, "ab") as handle:
+            handle.write(frame)
+            handle.flush()
+            if durable:
+                os.fsync(handle.fileno())
+        self.records_appended += 1
         return len(frame)
 
     def reset(self) -> None:
         """Truncate the journal (after a successful snapshot)."""
-        with self._lock:
-            with open(self.path, "wb"):
-                pass
-            self.records_appended = 0
+        with open(self.path, "wb"):
+            pass
+        self.records_appended = 0
 
     @property
     def size_bytes(self) -> int:

@@ -30,7 +30,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.faults.errors import SimulatedCrash
-from repro.locking import guarded_by, named_lock, unshared
 from repro.obs.events import EV_SNAPSHOT_CHECKPOINT
 from repro.persistence.errors import PersistenceError
 from repro.persistence.journal import Journal
@@ -58,30 +57,12 @@ SNAPSHOT_NAME = "snapshot.json"
 REMOVAL_REASONS = ("evict", "consolidate", "replace")
 
 
-@guarded_by(
-    "persistence.journal",
-    "suspended",
-    "total_records",
-    "last_snapshot_ts_ms",
-    "last_recovery",
-    "crash_plan",
-    "_crash_session",
-)
-@unshared("_cache", "_clock", "_version_of", "_obs")
 class CachePersister:
     """Journal + snapshot management for one cache directory.
 
-    Locking: the ``persistence.journal`` named lock serializes the
-    persister's bookkeeping (append counting, crash-plan state, the
-    recovery flags); the journal file itself has its own innermost
-    lock (``persistence.journal.file``), taken by :class:`Journal`.
-    ``checkpoint`` deliberately does *not* take the cache lock — the
-    snapshot-cadence checkpoints already run inside the cache's
-    mutation scope (the ``mutation_log`` hooks fire under
-    ``proxy.cache``), so taking it here would only add a
-    journal→cache edge and invert the lock order.  The ``_cache`` /
-    ``_clock`` / ``_version_of`` / ``_obs`` attributes are rebound
-    only by single-threaded ``bind`` wiring, hence ``unshared``.
+    The snapshot-cadence checkpoints run inside the cache's mutation
+    hooks (``mutation_log``), so a snapshot always sees the cache
+    after the mutation that triggered it.
     """
 
     def __init__(
@@ -113,7 +94,6 @@ class CachePersister:
         self.shard_id = shard_id
         self.journal = Journal(self.directory / JOURNAL_NAME)
         self.snapshot_path = self.directory / SNAPSHOT_NAME
-        self._lock = named_lock("persistence.journal")
         #: Set while recovery re-admits entries; hooks become no-ops so
         #: replaying the journal does not re-journal itself.
         self.suspended = False
@@ -155,32 +135,14 @@ class CachePersister:
 
     def install_crash_plan(self, plan: "CrashPlan | None") -> None:
         """Arm (or disarm) a seeded crash schedule."""
-        with self._lock:
-            self.crash_plan = plan
-            self._crash_session = (
-                plan.session() if plan is not None else None
-            )
+        self.crash_plan = plan
+        self._crash_session = (
+            plan.session() if plan is not None else None
+        )
 
     @property
     def crash_session(self) -> "CrashSession | None":
         return self._crash_session
-
-    # -------------------------------------------------- recovery bookkeeping
-    def set_suspended(self, flag: bool) -> None:
-        """Recovery hook: mute (or unmute) the mutation-log hooks.
-
-        Recovery flips this around its re-admission loop so replaying
-        the journal does not re-journal itself.  A locked setter, so
-        recovery never holds the persister lock while calling into the
-        cache (which would invert the cache→journal lock order).
-        """
-        with self._lock:
-            self.suspended = flag
-
-    def record_recovery(self, report: dict[str, Any]) -> None:
-        """Recovery hook: publish the last recovery's report payload."""
-        with self._lock:
-            self.last_recovery = report
 
     # ------------------------------------------------- mutation-log hooks
     def admitted(self, entry: "CacheEntry") -> None:
@@ -219,21 +181,6 @@ class CachePersister:
     # -------------------------------------------------------- snapshotting
     def checkpoint(self) -> Snapshot:
         """Snapshot the full live cache now and truncate the journal.
-
-        Concurrency precondition: call only while holding the
-        ``proxy.cache`` lock, or from single-threaded code.  Both
-        in-tree callers comply — the snapshot-cadence call in
-        ``_append`` runs inside the cache's mutation-log hooks (which
-        fire under ``proxy.cache``), and recovery runs before any
-        serving thread exists.  The method itself deliberately takes
-        no cache lock (see the class docstring: doing so here would
-        add a journal→cache edge), so an unlocked concurrent caller —
-        say a future admin endpoint — would race evictions between
-        ``entries()`` and each entry's stored-result read
-        (``ResultStoreError``) and could interleave with another
-        checkpoint's snapshot-write/journal-reset pair, losing
-        records.  Route any such caller through the cache's mutation
-        scope instead.
         """
         if self._cache is None:
             raise PersistenceError(
@@ -251,9 +198,8 @@ class CachePersister:
             entries=entries,
         )
         write_snapshot(self.snapshot_path, snapshot)
-        with self._lock:
-            self.journal.reset()
-            self.last_snapshot_ts_ms = snapshot.ts_ms
+        self.journal.reset()
+        self.last_snapshot_ts_ms = snapshot.ts_ms
         self._update_snapshot_age()
         # The flight-recorder mark; getattr-guarded because bind()
         # accepts any object with the metrics hooks.
@@ -319,25 +265,18 @@ class CachePersister:
         return 0.0 if self._clock is None else self._clock.now_ms
 
     def _append(self, record: Any) -> None:
-        with self._lock:
-            self.journal.append(record, durable=self.durable)
-            self.total_records += 1
-            if self._obs is not None:
-                self._obs.journal_append(record.type)
-            self._update_snapshot_age()
-            session = self._crash_session
-            if session is not None and session.should_crash(
-                self.total_records
-            ):
-                damage = session.apply_damage(self.journal.path)
-                raise SimulatedCrash(self.total_records, damage["damage"])
-            due = self.journal.records_appended >= self.snapshot_every
-        # Checkpoint outside the journal lock: it snapshots the live
-        # cache (taking proxy.cache), and holding journal across that
-        # would invert the cache -> journal acquisition order the
-        # mutation-log hooks establish.  A race on the threshold at
-        # worst checkpoints twice, which is harmless.
-        if due:
+        self.journal.append(record, durable=self.durable)
+        self.total_records += 1
+        if self._obs is not None:
+            self._obs.journal_append(record.type)
+        self._update_snapshot_age()
+        session = self._crash_session
+        if session is not None and session.should_crash(
+            self.total_records
+        ):
+            damage = session.apply_damage(self.journal.path)
+            raise SimulatedCrash(self.total_records, damage["damage"])
+        if self.journal.records_appended >= self.snapshot_every:
             self.checkpoint()
 
     def _snapshot_age_seconds(self) -> float | None:

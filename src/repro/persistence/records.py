@@ -11,7 +11,7 @@ One journal record describes one cache mutation.  Three types exist
   computed against, and the simulated-clock timestamp.
 * ``evict`` — an entry left the cache, with the reason (``evict`` from
   the replacement policy, ``consolidate`` from region-containment
-  maintenance, ``replace`` when an identical query re-raced in).
+  maintenance, ``replace`` when an identical query was re-admitted).
 * ``clear`` — the whole cache was flushed (origin data-version change).
   Carries the origin version the flush fenced up to.
 

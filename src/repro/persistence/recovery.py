@@ -169,10 +169,7 @@ def recover_cache(
 
         # Phases 3+4: fence versions, then materialize ---------------------
         with _span(obs, "materialize"):
-            # Locked setters, not raw attribute writes: recovery must
-            # not hold the persister lock while calling cache.store
-            # (that would invert the cache -> journal lock order).
-            persister.set_suspended(True)
+            persister.suspended = True
             local_shard = persister.shard_id
             try:
                 for record in image.values():
@@ -194,7 +191,7 @@ def recover_cache(
                         continue
                     _materialize(record, cache, templates, report)
             finally:
-                persister.set_suspended(False)
+                persister.suspended = False
 
     if obs is not None:
         obs.recovery_disposition("restored", report.entries_restored)
@@ -203,7 +200,7 @@ def recover_cache(
         obs.recovery_disposition("error", report.entries_error)
         obs.recovery_disposition("rejected", report.entries_rejected)
 
-    persister.record_recovery(report.to_dict())
+    persister.last_recovery = report.to_dict()
     # Repair the tail: the restored state becomes the new snapshot and
     # the (possibly damaged) journal is truncated behind it.
     persister.checkpoint()

@@ -13,8 +13,8 @@ every submission produces exactly one record and ``serve`` semantics
 (never raises) carry over to the event-driven path.
 
 The frontend is single-threaded by design — it lives on the event
-loop's thread; the admission controller and the proxy underneath do
-their own locking.
+loop's thread, like the admission controller and the proxy underneath
+it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.admission.config import REASON_DEADLINE, REASON_QUEUE_FULL
 from repro.admission.controller import AdmissionController, QueuedRequest
 from repro.core.proxy import FunctionProxy, ProxyResponse
 from repro.core.stats import QueryOutcome
-from repro.locking import unshared
 from repro.obs.events import EV_QUEUE_DEADLINE_DROPS
 from repro.sched.loop import EventLoop
 
@@ -39,7 +38,6 @@ class _Submission:
     on_done: Callable[[ProxyResponse], None] | None = None
 
 
-@unshared("submitted", "completed", "rejected")
 class ProxyFrontend:
     """Closed-loop serving through the admission queue.
 

@@ -3,8 +3,7 @@
 The loop owns its own ``now_ms`` — *event time* — and never touches
 the proxy's work clock.  Events are ``(time_ms, seq, fn)`` triples in
 a heap: ties dispatch in submission order, so a run is reproducible
-down to the callback sequence.  Callbacks are invoked with the
-``sched.queue`` lock released; scheduling from inside a callback is
+down to the callback sequence.  Scheduling from inside a callback is
 the normal way to express closed loops.
 """
 
@@ -13,21 +12,11 @@ from __future__ import annotations
 import heapq
 from typing import Callable
 
-from repro.locking import guarded_by, named_lock
 
-
-@guarded_by("sched.queue", "_now_ms", "_seq", "dispatched")
 class EventLoop:
-    """Single-threaded discrete-event scheduler.
-
-    ``run`` is meant to be driven from one thread; the ``sched.queue``
-    lock still guards the heap and the time axis so callbacks running
-    under other locks (e.g. an observer fired from the admission
-    controller) may safely schedule follow-up events.
-    """
+    """Single-threaded discrete-event scheduler."""
 
     def __init__(self) -> None:
-        self._lock = named_lock("sched.queue")
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._now_ms = 0.0
         self._seq = 0
@@ -50,10 +39,9 @@ class EventLoop:
         A time already in the past is clamped to *now*: events never
         run the clock backwards.
         """
-        with self._lock:
-            self._seq += 1
-            when = max(float(time_ms), self._now_ms)
-            heapq.heappush(self._heap, (when, self._seq, fn))
+        self._seq += 1
+        when = max(float(time_ms), self._now_ms)
+        heapq.heappush(self._heap, (when, self._seq, fn))
 
     def after(self, delay_ms: float, fn: Callable[[], None]) -> None:
         """Schedule ``fn`` ``delay_ms`` after the current event time."""
@@ -70,20 +58,18 @@ class EventLoop:
 
         Stops when the heap is empty, when the next event lies beyond
         ``until_ms`` (that event stays scheduled), or after
-        ``max_events`` dispatches — whichever comes first.  Callbacks
-        run with the loop lock released.
+        ``max_events`` dispatches — whichever comes first.
         """
         ran = 0
         while max_events is None or ran < max_events:
-            with self._lock:
-                if not self._heap:
-                    break
-                when, _seq, fn = self._heap[0]
-                if until_ms is not None and when > until_ms:
-                    break
-                heapq.heappop(self._heap)
-                self._now_ms = when
-                self.dispatched += 1
+            if not self._heap:
+                break
+            when, _seq, fn = self._heap[0]
+            if until_ms is not None and when > until_ms:
+                break
+            heapq.heappop(self._heap)
+            self._now_ms = when
+            self.dispatched += 1
             fn()
             ran += 1
         return ran

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.geometry.regions import Region
-from repro.locking import guarded_by, named_lock
 from repro.sqlparser.ast import SelectStatement
 from repro.templates.errors import TemplateAnalysisError, TemplateError
 from repro.templates.function_template import FunctionTemplate
@@ -67,23 +66,8 @@ class BoundQuery:
         return f"<BoundQuery {self.template_id} {self.params}>"
 
 
-@guarded_by(
-    "proxy.templates",
-    "_function_templates",
-    "_query_templates",
-    "_info_files",
-    "_degraded_functions",
-    "_degraded_templates",
-    "_analysis_log",
-    "_observers",
-)
 class TemplateManager:
     """Registry of templates and info files; builds bound queries.
-
-    Registration (and the analysis log it feeds) mutates under the
-    ``proxy.templates`` named lock, so concurrent registrations and
-    serve-path lookups never observe a half-registered template;
-    lookups and ``bind`` read without the lock (dict gets are atomic).
 
     Every registration runs the static cacheability analyzer
     (:mod:`repro.analysis`) according to ``analysis_mode``:
@@ -108,7 +92,6 @@ class TemplateManager:
                 f"not {analysis_mode!r}"
             )
         self.analysis_mode = analysis_mode
-        self._lock = named_lock("proxy.templates")
         self._function_templates: dict[str, FunctionTemplate] = {}
         self._query_templates: dict[str, QueryTemplate] = {}
         self._info_files: dict[str, TemplateInfoFile] = {}
@@ -141,13 +124,11 @@ class TemplateManager:
         self, observer: Callable[["Diagnostic"], None]
     ) -> None:
         """Stream every future diagnostic to ``observer``."""
-        with self._lock:
-            self._observers.append(observer)
+        self._observers.append(observer)
 
     def analysis_diagnostics(self) -> list["Diagnostic"]:
         """Every diagnostic recorded by registrations so far."""
-        with self._lock:
-            return list(self._analysis_log)
+        return list(self._analysis_log)
 
     def is_degraded(self, template_id: str) -> bool:
         """True if a query template was admitted degraded-to-pass-through.
@@ -167,60 +148,57 @@ class TemplateManager:
 
     # ------------------------------------------------------ registration
     def register_function_template(self, template: FunctionTemplate) -> None:
-        with self._lock:
-            key = template.name.lower()
-            if key in self._function_templates:
-                raise TemplateError(
-                    f"function template {template.name!r} already registered"
-                )
-            if self.analysis_mode != "off":
-                from repro.analysis.analyzer import analyze_function_template
+        key = template.name.lower()
+        if key in self._function_templates:
+            raise TemplateError(
+                f"function template {template.name!r} already registered"
+            )
+        if self.analysis_mode != "off":
+            from repro.analysis.analyzer import analyze_function_template
 
-                report = analyze_function_template(template)
-                if not self._admit(template.name, report):
-                    self._degraded_functions.add(key)
-            self._function_templates[key] = template
+            report = analyze_function_template(template)
+            if not self._admit(template.name, report):
+                self._degraded_functions.add(key)
+        self._function_templates[key] = template
 
     def register_query_template(self, template: QueryTemplate) -> None:
-        with self._lock:
-            key = template.template_id.lower()
-            if key in self._query_templates:
-                raise TemplateError(
-                    f"query template {template.template_id!r} "
-                    f"already registered"
-                )
-            if self.analysis_mode != "off":
-                from repro.analysis.analyzer import analyze_query_template
+        key = template.template_id.lower()
+        if key in self._query_templates:
+            raise TemplateError(
+                f"query template {template.template_id!r} "
+                f"already registered"
+            )
+        if self.analysis_mode != "off":
+            from repro.analysis.analyzer import analyze_query_template
 
-                report = analyze_query_template(template)
-                if not self._admit(template.template_id, report):
-                    self._degraded_templates.add(key)
-            self._query_templates[key] = template
+            report = analyze_query_template(template)
+            if not self._admit(template.template_id, report):
+                self._degraded_templates.add(key)
+        self._query_templates[key] = template
 
     def register_info_file(self, info: TemplateInfoFile) -> None:
-        with self._lock:
-            key = info.form_name.lower()
-            if key in self._info_files:
-                raise TemplateError(
-                    f"info file for form {info.form_name!r} "
-                    f"already registered"
-                )
-            if info.template_id.lower() not in self._query_templates:
-                raise TemplateError(
-                    f"info file {info.form_name!r} references unknown query "
-                    f"template {info.template_id!r}"
-                )
-            if self.analysis_mode != "off":
-                from repro.analysis.analyzer import analyze_info_file
+        key = info.form_name.lower()
+        if key in self._info_files:
+            raise TemplateError(
+                f"info file for form {info.form_name!r} "
+                f"already registered"
+            )
+        if info.template_id.lower() not in self._query_templates:
+            raise TemplateError(
+                f"info file {info.form_name!r} references unknown query "
+                f"template {info.template_id!r}"
+            )
+        if self.analysis_mode != "off":
+            from repro.analysis.analyzer import analyze_info_file
 
-                template = self._query_templates[info.template_id.lower()]
-                report = analyze_info_file(info, template)
-                if not self._admit(info.form_name, report):
-                    # A form that cannot bind every declared parameter
-                    # can produce under-constrained queries; never
-                    # cache them.
-                    self._degraded_templates.add(info.template_id.lower())
-            self._info_files[key] = info
+            template = self._query_templates[info.template_id.lower()]
+            report = analyze_info_file(info, template)
+            if not self._admit(info.form_name, report):
+                # A form that cannot bind every declared parameter
+                # can produce under-constrained queries; never
+                # cache them.
+                self._degraded_templates.add(info.template_id.lower())
+        self._info_files[key] = info
 
     # ------------------------------------------------------------ lookup
     def function_template(self, name: str) -> FunctionTemplate:

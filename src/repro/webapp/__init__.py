@@ -20,6 +20,10 @@ proxy servlet that talks HTTP to the origin web site:
   :class:`~repro.core.proxy.FunctionProxy` can front a *remote* origin
   process exactly as the paper's Tomcat servlet fronted the SkyServer.
 
+Each app runs its requests one at a time under its own lock
+(:func:`~repro.webapp.serialize.serialize_requests`), so the objects
+behind it stay single-owner under a threaded WSGI server.
+
 Flask is an optional dependency; importing this package without Flask
 installed raises a clear error only when an app is actually created.
 """
@@ -28,10 +32,12 @@ from repro.webapp.origin_app import create_origin_app
 from repro.webapp.proxy_app import create_proxy_app
 from repro.webapp.router_app import create_router_app
 from repro.webapp.http_origin import HttpOriginClient
+from repro.webapp.serialize import serialize_requests
 
 __all__ = [
     "HttpOriginClient",
     "create_origin_app",
     "create_proxy_app",
     "create_router_app",
+    "serialize_requests",
 ]

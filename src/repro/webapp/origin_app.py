@@ -58,6 +58,7 @@ from repro.server.origin import OriginServer
 from repro.sqlparser.errors import ParseError
 from repro.sqlparser.parser import parse_select
 from repro.templates.errors import TemplateError
+from repro.webapp.serialize import serialize_requests
 
 
 def create_origin_app(
@@ -240,4 +241,4 @@ def create_origin_app(
     def events():
         return origin.instrumentation.events.snapshot()
 
-    return app
+    return serialize_requests(app)

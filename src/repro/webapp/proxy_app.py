@@ -103,6 +103,7 @@ from repro.obs.timeseries import TimeSeriesRecorder
 from repro.relational.errors import RelationalError
 from repro.sqlparser.errors import ParseError
 from repro.templates.errors import TemplateError
+from repro.webapp.serialize import serialize_requests
 
 
 def create_proxy_app(
@@ -408,4 +409,4 @@ def create_proxy_app(
         status_code = 503 if report["status"] == "unhealthy" else 200
         return report, status_code
 
-    return app
+    return serialize_requests(app)

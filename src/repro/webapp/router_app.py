@@ -41,6 +41,7 @@ from repro.core.stats import QueryOutcome
 from repro.relational.errors import RelationalError
 from repro.sqlparser.errors import ParseError
 from repro.templates.errors import TemplateError
+from repro.webapp.serialize import serialize_requests
 
 
 def create_router_app(router: ShardRouter):
@@ -146,4 +147,4 @@ def create_router_app(router: ShardRouter):
             return {"error": f"shard {shard_id!r} already drained"}, 409
         return {"drained": shard_id, "handoff": report.to_dict()}
 
-    return app
+    return serialize_requests(app)

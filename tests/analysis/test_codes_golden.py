@@ -49,12 +49,6 @@ GOLDEN = {
     "FP310": (Severity.ERROR, None),
     "FP311": (Severity.ERROR, None),
     "FP312": (Severity.ERROR, None),
-    "FP401": (Severity.ERROR, None),
-    "FP402": (Severity.ERROR, None),
-    "FP403": (Severity.ERROR, None),
-    "FP404": (Severity.ERROR, None),
-    "FP405": (Severity.ERROR, None),
-    "FP406": (Severity.WARNING, None),
 }
 
 
@@ -76,8 +70,8 @@ def test_codes_are_numerically_ordered_and_blocked():
     numbers = [int(code[2:]) for code in CODES]
     assert numbers == sorted(numbers)
     for code in CODES:
-        # template / query / repo-lint / concurrency blocks
-        assert code[2] in "1234"
+        # template / query / repo-lint blocks
+        assert code[2] in "123"
 
 
 def test_unknown_code_is_a_programming_error():

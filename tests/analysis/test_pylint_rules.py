@@ -416,11 +416,11 @@ class TestRawLockRule:
         )
         assert report.codes() == {"FP309"}
 
-    def test_locking_module_exempt(self, tmp_path):
+    def test_webapp_lock_clean(self, tmp_path):
         report = lint(
             tmp_path,
-            "repro/locking.py",
-            "import threading\nlock = threading.RLock()\n",
+            "repro/webapp/x.py",
+            "import threading\nlock = threading.Lock()\n",
         )
         assert len(report) == 0
 
@@ -432,14 +432,18 @@ class TestRawLockRule:
         )
         assert len(report) == 0
 
-    def test_named_lock_clean(self, tmp_path):
+    def test_serve_path_lock_flagged(self, tmp_path):
+        # The serving objects are single-owner: a lock inside one of
+        # them is flagged even where a lock once lived.
         report = lint(
             tmp_path,
-            "repro/core/x.py",
-            "from repro.locking import named_lock\n"
-            "lock = named_lock('proxy.cache')\n",
+            "repro/core/cache.py",
+            "import threading\n"
+            "class CacheManager:\n"
+            "    def __init__(self):\n"
+            "        self._lock = threading.RLock()\n",
         )
-        assert len(report) == 0
+        assert report.codes() == {"FP309"}
 
     def test_unrelated_lock_name_clean(self, tmp_path):
         # Only the threading module's factories count; a local helper
@@ -680,8 +684,8 @@ class TestDiagnosticFormatGolden:
         rendered = diagnostic.format().splitlines()[0]
         assert rendered == (
             f"{path.as_posix()}:2:8: FP309 error: threading.Lock() "
-            "constructs an anonymous lock the concurrency analyzer "
-            "cannot name"
+            "outside repro/webapp/; the only lock is the per-app "
+            "request lock"
         )
 
     def test_syntax_error_diagnostic_carries_line_and_column(

@@ -12,6 +12,7 @@ from repro.cluster import (
 from repro.core.stats import QueryOutcome
 from repro.faults.shard import ShardCrashPlan, ShardFaultWindow
 from repro.obs.events import EventRecorder
+from repro.obs.decisions import DECISION_LOG_CAPACITY
 from repro.obs.health import UNHEALTHY
 from repro.templates.skyserver_templates import RADIAL_TEMPLATE_ID
 
@@ -133,6 +134,29 @@ class TestFailover:
         decision = router.route(bind(), 0.0, statuses)
         assert decision.attempts[0].fate == "unhealthy"
         assert decision.dispatched != primary
+
+    def test_decision_ring_keeps_the_newest_and_counts_every_reroute(
+        self, make_tier, bind
+    ):
+        router = make_tier(persist=False)
+        routes = DECISION_LOG_CAPACITY + 44
+        rerouted = 0
+        for index in range(routes):
+            bound = bind(ra=160.0 + 0.02 * index)
+            statuses = {sid: "healthy" for sid in router.shard_ids}
+            if index % 3 == 0:
+                primary = router.ring.primary(router.route_key(bound))
+                statuses[primary] = UNHEALTHY
+            rerouted += router.route(bound, 0.0, statuses).rerouted
+        decisions = router.recent_decisions()
+        assert len(decisions) == DECISION_LOG_CAPACITY
+        assert [d.seq for d in decisions] == list(
+            range(routes - DECISION_LOG_CAPACITY + 1, routes + 1)
+        )
+        assert rerouted > sum(d.rerouted for d in decisions)
+        failovers = router.registry.get("router_failover_total")
+        assert failovers.total() == rerouted
+        assert router.status()["decisions_total"] == routes
 
     def test_slow_window_charges_the_record(self, make_tier, bind):
         probe = make_tier(persist=False)

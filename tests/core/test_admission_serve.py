@@ -197,44 +197,72 @@ class TestQueueWaitAccounting:
 
 
 class TestThreadedSaturation:
-    def test_concurrent_serves_shed_gracefully(self, make_proxy, bind):
-        """More threads than capacity: every call returns a record,
-        admitted + shed account for every thread, and inflight drains
-        to zero."""
+    def test_concurrent_serves_shed_gracefully(self, make_proxy, templates):
+        """More HTTP clients than capacity: every request returns a
+        record, admitted + shed account for every client, and inflight
+        drains to zero.  The app lock serializes requests, so the gate
+        is pre-filled for the first burst (which sheds) and drained for
+        the second (which serves)."""
+        pytest.importorskip("flask")
+        from repro.webapp import create_proxy_app
+
         proxy = make_proxy(
             AdmissionConfig(max_inflight=2, max_queue_depth=2)
         )
-        n = 12
-        barrier = threading.Barrier(n)
-        responses = [None] * n
-        failures = []
+        app = create_proxy_app(proxy)
+        burst = 6
+        n = 2 * burst
 
-        def run(slot):
-            try:
-                barrier.wait(timeout=10)
-                responses[slot] = proxy.serve(
-                    bind(ra=161.0 + 0.5 * slot, radius=2.0)
-                )
-            except BaseException as exc:  # noqa: BLE001 - surfaced below
-                failures.append(exc)
+        def run_burst(first_slot):
+            barrier = threading.Barrier(burst)
+            codes = [None] * burst
+            failures = []
 
-        threads = [
-            threading.Thread(target=run, args=(slot,)) for slot in range(n)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-        assert not failures
-        assert all(r is not None for r in responses)
-        outcomes = [r.record.outcome for r in responses]
+            def run(slot):
+                client = app.test_client()
+                try:
+                    barrier.wait(timeout=10)
+                    response = client.get(
+                        "/search/Radial?"
+                        f"ra={161.0 + 0.5 * (first_slot + slot)}"
+                        "&dec=8.0&radius=2.0"
+                    )
+                    codes[slot] = response.status_code
+                except BaseException as exc:  # noqa: BLE001 - surfaced below
+                    failures.append(exc)
+
+            threads = [
+                threading.Thread(target=run, args=(slot,))
+                for slot in range(burst)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not failures
+            return codes
+
+        holds = proxy.admission.config.capacity
+        for _ in range(holds):
+            assert proxy.admission.try_admit(
+                "default", proxy.clock.now_ms
+            ).admitted
+        full = run_burst(0)
+        for _ in range(holds):
+            proxy.admission.release()
+        drained = run_burst(burst)
+        assert full == [429] * burst
+        assert drained == [200] * burst
+
+        outcomes = [r.outcome for r in proxy.stats.records]
         served = sum(o is not QueryOutcome.SHED for o in outcomes)
         shed = sum(o is QueryOutcome.SHED for o in outcomes)
         assert served + shed == n
-        assert served >= 1  # capacity admits at least the first wave
+        assert served >= 1  # the drained gate admits the second burst
         snapshot = proxy.admission.snapshot()
-        assert snapshot["submitted"] == n
-        assert snapshot["admitted"] == served
+        assert snapshot["submitted"] == n + holds
+        assert snapshot["admitted"] == served + holds
         assert snapshot["shed"] == shed
         assert proxy.admission.inflight == 0
         assert len(proxy.stats.records) == n

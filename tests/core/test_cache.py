@@ -114,28 +114,11 @@ class TestLru:
 
 
 class TestRaceHardening:
-    """Lookup-vs-eviction races (REVIEW: lock-free lookups could see a
-    concurrent ``_remove`` mid-flight)."""
-
-    def test_exact_match_pinned_returns_entry_with_result(
-        self, bind, result_of
-    ):
-        cache = make_cache()
-        bound = bind()
-        result = result_of(bound)
-        entry, _ = cache.store(bound, result, "sig", False)
-        pinned = cache.exact_match_pinned(bound)
-        assert pinned is not None
-        pinned_entry, pinned_result = pinned
-        assert pinned_entry is entry
-        assert pinned_result.rows == result.rows
-
-    def test_exact_match_pinned_miss_is_none(self, bind):
-        assert make_cache().exact_match_pinned(bind()) is None
+    """Bookkeeping for entries that are no longer cached."""
 
     def test_touch_after_removal_is_a_noop(self, bind, result_of):
-        """A candidate handed out before a concurrent eviction must not
-        resurrect replacement-policy bookkeeping when touched."""
+        """Touching an entry after its removal must not resurrect
+        replacement-policy bookkeeping."""
         cache = make_cache()
         bound = bind()
         entry, _ = cache.store(bound, result_of(bound), "sig", False)

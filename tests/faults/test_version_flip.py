@@ -122,8 +122,8 @@ class TestPlanDrivenVersionFlip:
 class TestAdmissionFence:
     """The data-version fence must hold at *admission*, not just at
     query start: a result fetched under version 1 must never be
-    planted into a cache that a concurrent serve flushed at version 2
-    (REVIEW: the stale entry would serve EXACT hits forever)."""
+    planted into a cache that another serve flushed at version 2 (the
+    stale entry would serve EXACT hits forever)."""
 
     def _observation_for(self, proxy, bound, index, fence):
         observation = proxy.obs.observe_query(
