@@ -25,7 +25,11 @@ One module per experiment, mirroring DESIGN.md's per-experiment index:
 
 Every experiment takes an :class:`~repro.harness.config.ExperimentScale`
 so the same code runs at paper scale (11,323 queries) or at the smaller
-default scale used by the benchmark suite.
+default scale used by the benchmark suite.  Every run goes through one
+path: a :class:`~repro.harness.runner.Scenario` (deployment × load ×
+optional fault plan) played by :meth:`ExperimentRunner.play`; the
+four state experiments keep only their constants, row types, scenario
+lists and row builders.
 """
 
 from repro.harness.config import ExperimentScale

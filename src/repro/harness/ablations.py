@@ -36,28 +36,18 @@ class DescriptionAblationResult:
     response_ms: dict[str, float]
 
     def render(self) -> str:
-        headers = [
-            "Description",
-            "max real check ms",
-            "mean sim check ms",
-            "mean sim maint ms",
-            "avg response ms",
-        ]
-        rows = [
-            [
-                kind,
-                self.max_check_wall_ms[kind],
-                self.mean_check_sim_ms[kind],
-                self.mean_maintenance_sim_ms[kind],
-                self.response_ms[kind],
-            ]
-            for kind in ("array", "rtree")
-        ]
+        columns = (
+            ("Description", str),
+            ("max real check ms", self.max_check_wall_ms.get),
+            ("mean sim check ms", self.mean_check_sim_ms.get),
+            ("mean sim maint ms", self.mean_maintenance_sim_ms.get),
+            ("avg response ms", self.response_ms.get),
+        )
         return render_table(
             "Ablation: cache description (paper claim: checking < 100 ms "
             "real time; R-tree maintenance costlier than array)",
-            headers,
-            rows,
+            columns,
+            ["array", "rtree"],
         )
 
 
@@ -98,28 +88,18 @@ class RemainderAblationResult:
     efficiency: dict[str, float]
 
     def render(self) -> str:
-        headers = [
-            "Overlap handling",
-            "avg response ms",
-            "avg origin ms",
-            "avg origin KB",
-            "efficiency",
-        ]
-        rows = [
-            [
-                label,
-                self.response_ms[label],
-                self.origin_ms[label],
-                self.origin_bytes[label] / 1024.0,
-                self.efficiency[label],
-            ]
-            for label in ("remainder", "forward-whole")
-        ]
+        columns = (
+            ("Overlap handling", str),
+            ("avg response ms", self.response_ms.get),
+            ("avg origin ms", self.origin_ms.get),
+            ("avg origin KB", lambda label: self.origin_bytes[label] / 1024.0),
+            ("efficiency", self.efficiency.get),
+        )
         return render_table(
             "Ablation: remainder queries vs whole-query forwarding on an "
             "overlap-heavy trace (paper Section 3.2 tradeoff)",
-            headers,
-            rows,
+            columns,
+            ["remainder", "forward-whole"],
         )
 
 

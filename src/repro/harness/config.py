@@ -129,6 +129,15 @@ class ExperimentScale:
     obs: ObservabilityConfig = ObservabilityConfig()
 
     @staticmethod
+    def named(name: str) -> "ExperimentScale":
+        """The ``quick``, ``default`` or ``paper`` preset, by name."""
+        if name not in ("quick", "default", "paper"):
+            raise ValueError(
+                f"unknown scale {name!r}; use quick, default, or paper"
+            )
+        return getattr(ExperimentScale, name)()
+
+    @staticmethod
     def paper() -> "ExperimentScale":
         """Full paper scale: the 11,323-query trace, dense catalog."""
         sky = SkyCatalogConfig(

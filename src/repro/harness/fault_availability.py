@@ -28,15 +28,15 @@ is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 from repro.core.schemes import CachingScheme
-from repro.core.stats import QueryOutcome, TraceStats
+from repro.core.stats import QueryOutcome
 from repro.faults.plan import FaultPlan, OutageWindow
 from repro.harness.config import ExperimentScale
-from repro.harness.render import render_table
-from repro.harness.runner import ExperimentRunner
-from repro.workload.rbe import BrowserEmulator
+from repro.harness.render import Column, as_dict, render_table
+from repro.harness.runner import ExperimentRunner, Scenario
 
 #: The schemes compared: no caching, passive, and two active schemes.
 SCHEMES = (
@@ -64,16 +64,24 @@ class SchemeAvailability:
     outage_ms: tuple[float, float]
 
     def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme.value,
-            "answered_fraction": self.answered_fraction,
-            "p95_ms": self.p95_ms,
-            "fault_free_p95_ms": self.fault_free_p95_ms,
-            "outcome_counts": dict(self.outcome_counts),
-            "total_retries": self.total_retries,
-            "breaker_opens": self.breaker_opens,
-            "outage_ms": list(self.outage_ms),
-        }
+        return as_dict(self)
+
+
+def _count(outcome: QueryOutcome) -> Callable[[SchemeAvailability], int]:
+    return lambda row: row.outcome_counts.get(outcome.value, 0)
+
+
+COLUMNS: tuple[Column, ...] = (
+    ("Scheme", lambda row: row.scheme.value),
+    ("answered", lambda row: row.answered_fraction),
+    ("p95 ms", lambda row: row.p95_ms),
+    ("served", _count(QueryOutcome.SERVED)),
+    ("degraded", _count(QueryOutcome.DEGRADED)),
+    ("partial", _count(QueryOutcome.PARTIAL)),
+    ("failed", _count(QueryOutcome.FAILED)),
+    ("retries", lambda row: row.total_retries),
+    ("opens", lambda row: row.breaker_opens),
+)
 
 
 @dataclass(frozen=True)
@@ -93,74 +101,16 @@ class FaultAvailabilityResult:
         }
 
     def to_dict(self) -> dict:
-        return {
-            "think_time_ms": self.think_time_ms,
-            "error_rate": self.error_rate,
-            "seed": self.seed,
-            "schemes": {
-                label: row.to_dict() for label, row in self.schemes.items()
-            },
-        }
+        return as_dict(self)
 
     def render(self) -> str:
-        headers = [
-            "Scheme",
-            "answered",
-            "p95 ms",
-            "served",
-            "degraded",
-            "partial",
-            "failed",
-            "retries",
-            "opens",
-        ]
-        rows = []
-        for label, row in self.schemes.items():
-            counts = row.outcome_counts
-            rows.append(
-                [
-                    label,
-                    row.answered_fraction,
-                    row.p95_ms,
-                    counts.get(QueryOutcome.SERVED.value, 0),
-                    counts.get(QueryOutcome.DEGRADED.value, 0),
-                    counts.get(QueryOutcome.PARTIAL.value, 0),
-                    counts.get(QueryOutcome.FAILED.value, 0),
-                    row.total_retries,
-                    row.breaker_opens,
-                ]
-            )
         return render_table(
             "Fault availability: answered fraction per scheme under an "
             f"origin outage covering {OUTAGE_WINDOW_FRACTIONS[0]:.0%}-"
             f"{OUTAGE_WINDOW_FRACTIONS[1]:.0%} of the trace",
-            headers,
-            rows,
+            COLUMNS,
+            list(self.schemes.values()),
         )
-
-
-def _replay(
-    runner: ExperimentRunner,
-    scheme: CachingScheme,
-    plan: FaultPlan | None,
-    think_time_ms: float,
-) -> tuple[TraceStats, float, int, int]:
-    """One trace replay; returns (stats, end_ms, retries, opens)."""
-    proxy = runner.build_proxy(scheme, "array", cache_fraction=None)
-    if plan is not None:
-        proxy.install_fault_plan(plan)
-    emulator = BrowserEmulator(proxy)
-    stats = emulator.run(
-        runner.trace,
-        limit=runner.scale.measure_queries,
-        think_time_ms=think_time_ms,
-    )
-    return (
-        stats,
-        proxy.clock.now_ms,
-        stats.total_retries,
-        proxy.breaker.opens,
-    )
 
 
 def run_fault_availability(
@@ -173,30 +123,28 @@ def run_fault_availability(
     runner = runner or ExperimentRunner(scale or ExperimentScale.default())
     schemes: dict[str, SchemeAvailability] = {}
     for scheme in SCHEMES:
-        calibration, end_ms, _, _ = _replay(
-            runner, scheme, None, think_time_ms
-        )
+        calibration = Scenario(scheme, think_time_ms=think_time_ms)
+        fault_free = runner.play(calibration)
         outage = OutageWindow(
-            start_ms=OUTAGE_WINDOW_FRACTIONS[0] * end_ms,
-            end_ms=OUTAGE_WINDOW_FRACTIONS[1] * end_ms,
+            start_ms=OUTAGE_WINDOW_FRACTIONS[0] * fault_free.end_ms,
+            end_ms=OUTAGE_WINDOW_FRACTIONS[1] * fault_free.end_ms,
         )
         plan = FaultPlan(
             seed=seed, outages=(outage,), error_rate=error_rate
         )
-        stats, _, retries, opens = _replay(
-            runner, scheme, plan, think_time_ms
-        )
+        faulted = runner.play(replace(calibration, faults=plan))
+        stats = faulted.stats
         schemes[scheme.value] = SchemeAvailability(
             scheme=scheme,
             answered_fraction=stats.answered_fraction,
             p95_ms=stats.response_percentile(0.95),
-            fault_free_p95_ms=calibration.response_percentile(0.95),
+            fault_free_p95_ms=fault_free.stats.response_percentile(0.95),
             outcome_counts={
                 outcome.value: count
                 for outcome, count in stats.outcome_counts().items()
             },
-            total_retries=retries,
-            breaker_opens=opens,
+            total_retries=stats.total_retries,
+            breaker_opens=faulted.deployment.breaker.opens,
             outage_ms=(outage.start_ms, outage.end_ms),
         )
     return FaultAvailabilityResult(

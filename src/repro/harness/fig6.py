@@ -38,28 +38,18 @@ class Fig6Result:
     efficiency: dict[str, float]
 
     def render(self) -> str:
-        headers = [
-            "Scheme",
-            "resp ms",
-            "paper ms",
-            "efficiency",
-            "paper eff",
-        ]
-        rows = [
-            [
-                label,
-                self.response_ms[label],
-                PAPER_RESPONSE_MS[label],
-                self.efficiency[label],
-                PAPER_EFFICIENCY[label],
-            ]
-            for label, _scheme in SCHEMES
-        ]
+        columns = (
+            ("Scheme", str),
+            ("resp ms", self.response_ms.get),
+            ("paper ms", PAPER_RESPONSE_MS.get),
+            ("efficiency", self.efficiency.get),
+            ("paper eff", PAPER_EFFICIENCY.get),
+        )
         return render_table(
             "Figure 6: average response time of active caching schemes "
             "(unlimited cache, array description)",
-            headers,
-            rows,
+            columns,
+            [label for label, _scheme in SCHEMES],
         )
 
 

@@ -34,18 +34,16 @@ deterministic, including the exact bytes the crash tears off.
 
 from __future__ import annotations
 
+import shutil
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.core.schemes import CachingScheme
-from repro.core.stats import TraceStats
 from repro.faults.crash import CrashPlan
 from repro.harness.config import ExperimentScale
-from repro.harness.render import render_table
-from repro.harness.runner import ExperimentRunner
-from repro.persistence import CachePersister
-from repro.workload.rbe import BrowserEmulator
+from repro.harness.render import Column, as_dict, render_table
+from repro.harness.runner import ExperimentRunner, Scenario
 
 #: The schemes compared: no caching (control), passive, full semantic.
 SCHEMES = (
@@ -86,23 +84,18 @@ class SchemeRecovery:
         return self.entries_restored / self.entries_at_crash
 
     def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme.value,
-            "pre_crash_queries": self.pre_crash_queries,
-            "pre_crash_hit_ratio": self.pre_crash_hit_ratio,
-            "entries_at_crash": self.entries_at_crash,
-            "journal_records": self.journal_records,
-            "damage": dict(self.damage),
-            "entries_restored": self.entries_restored,
-            "entries_stale": self.entries_stale,
-            "records_replayed": self.records_replayed,
-            "stop_reason": self.stop_reason,
-            "restored_fraction": self.restored_fraction,
-            "warm_hit_ratio": self.warm_hit_ratio,
-            "cold_hit_ratio": self.cold_hit_ratio,
-            "warm_advantage": self.warm_advantage,
-            "recovery_report": dict(self.recovery_report),
-        }
+        return as_dict(self, derived=("restored_fraction", "warm_advantage"))
+
+
+COLUMNS: tuple[Column, ...] = (
+    ("Scheme", lambda row: row.scheme.value),
+    ("entries", lambda row: row.entries_at_crash),
+    ("restored", lambda row: row.entries_restored),
+    ("stop", lambda row: row.stop_reason or "clean"),
+    ("warm hit", lambda row: row.warm_hit_ratio),
+    ("cold hit", lambda row: row.cold_hit_ratio),
+    ("advantage", lambda row: row.warm_advantage),
+)
 
 
 @dataclass(frozen=True)
@@ -116,45 +109,15 @@ class RecoveryExperimentResult:
     snapshot_every: int
 
     def to_dict(self) -> dict:
-        return {
-            "crash_fraction": self.crash_fraction,
-            "damage": self.damage,
-            "seed": self.seed,
-            "snapshot_every": self.snapshot_every,
-            "schemes": {
-                label: row.to_dict() for label, row in self.schemes.items()
-            },
-        }
+        return as_dict(self)
 
     def render(self) -> str:
-        headers = [
-            "Scheme",
-            "entries",
-            "restored",
-            "stop",
-            "warm hit",
-            "cold hit",
-            "advantage",
-        ]
-        rows = []
-        for label, row in self.schemes.items():
-            rows.append(
-                [
-                    label,
-                    row.entries_at_crash,
-                    row.entries_restored,
-                    row.stop_reason or "clean",
-                    row.warm_hit_ratio,
-                    row.cold_hit_ratio,
-                    row.warm_advantage,
-                ]
-            )
         return render_table(
             "Crash recovery: post-restart hit ratio, warm (recovered "
             f"journal, {self.damage} tail damage) vs cold, after a crash "
             f"at {self.crash_fraction:.0%} of the trace",
-            headers,
-            rows,
+            COLUMNS,
+            list(self.schemes.values()),
         )
 
 
@@ -171,7 +134,9 @@ def run_recovery(
 
     ``state_dir`` keeps each scheme's persistence directory (under
     ``<state_dir>/<scheme>``) instead of a temporary one — the CI smoke
-    job uses this to upload the damaged journals with the report.
+    job uses this to upload the damaged journals with the report.  The
+    experiment owns those directories: each is emptied before its
+    warm-up, so a rerun never recovers an earlier run's journal.
     """
     if not 0.0 < crash_fraction < 1.0:
         raise ValueError(
@@ -180,26 +145,24 @@ def run_recovery(
     runner = runner or ExperimentRunner(scale or ExperimentScale.default())
     total = min(runner.scale.measure_queries, len(runner.trace))
     crash_at = max(1, int(total * crash_fraction))
-    head = runner.trace[:crash_at]
-    tail = runner.trace[crash_at:total]
+    plan = CrashPlan(seed=seed, damage=damage)
 
     schemes: dict[str, SchemeRecovery] = {}
-    for scheme in SCHEMES:
-        if state_dir is not None:
-            directory = Path(state_dir) / scheme.value
-            row = _run_scheme(
-                runner, scheme, head, tail, directory,
-                damage, seed, snapshot_every,
+    with tempfile.TemporaryDirectory(prefix="repro-recovery-") as tmp:
+        root = Path(tmp if state_dir is None else state_dir)
+        for scheme in SCHEMES:
+            directory = root / scheme.value
+            if directory.exists():
+                shutil.rmtree(directory)
+            warm_up = Scenario(
+                scheme,
+                persistence=directory,
+                snapshot_every=snapshot_every,
+                queries=slice(crash_at),
             )
-        else:
-            with tempfile.TemporaryDirectory(
-                prefix="repro-recovery-"
-            ) as tmp:
-                row = _run_scheme(
-                    runner, scheme, head, tail, Path(tmp),
-                    damage, seed, snapshot_every,
-                )
-        schemes[scheme.value] = row
+            schemes[scheme.value] = _scheme_row(
+                runner, warm_up, slice(crash_at, total), plan
+            )
     return RecoveryExperimentResult(
         schemes=schemes,
         crash_fraction=crash_fraction,
@@ -209,55 +172,40 @@ def run_recovery(
     )
 
 
-def _run_scheme(
+def _scheme_row(
     runner: ExperimentRunner,
-    scheme: CachingScheme,
-    head,
-    tail,
-    directory: Path,
-    damage: str,
-    seed: int,
-    snapshot_every: int,
+    warm_up: Scenario,
+    rest: slice,
+    plan: CrashPlan,
 ) -> SchemeRecovery:
     # Phase 1: warm-up with journaling.
-    persister = CachePersister(directory, snapshot_every=snapshot_every)
-    proxy = runner.build_proxy(
-        scheme, "array", cache_fraction=None, persistence=persister
-    )
-    pre_stats: TraceStats = BrowserEmulator(proxy).run(head)
-    entries_at_crash = len(proxy.cache)
-    journal_records = persister.total_records
+    pre = runner.play(warm_up)
+    persister = pre.deployment.persistence
 
     # Phase 2: the crash — the proxy stops here and the plan's seeded
     # damage tears the journal tail the way a kill mid-append would.
-    plan = CrashPlan(seed=seed, damage=damage)
     damage_report = plan.session().apply_damage(persister.journal.path)
 
-    # Phase 3: warm restart over the damaged directory.
-    warm_persister = CachePersister(directory, snapshot_every=snapshot_every)
-    warm_proxy = runner.build_proxy(
-        scheme, "array", cache_fraction=None, persistence=warm_persister
-    )
-    report = warm_proxy.recovery_report
-    assert report is not None  # persistence implies recovery
-    warm_stats = BrowserEmulator(warm_proxy).run(tail)
+    # Phase 3: warm restart over the damaged directory; building the
+    # proxy runs recovery and leaves the report on it.
+    warm = runner.play(replace(warm_up, queries=rest))
+    report = warm.deployment.recovery_report
 
     # Phase 4: cold restart — the pre-persistence baseline.
-    cold_proxy = runner.build_proxy(scheme, "array", cache_fraction=None)
-    cold_stats = BrowserEmulator(cold_proxy).run(tail)
+    cold = runner.play(replace(warm_up, queries=rest, persistence=None))
 
     return SchemeRecovery(
-        scheme=scheme,
-        pre_crash_queries=len(head),
-        pre_crash_hit_ratio=pre_stats.hit_ratio,
-        entries_at_crash=entries_at_crash,
-        journal_records=journal_records,
+        scheme=warm_up.scheme,
+        pre_crash_queries=len(pre.stats),
+        pre_crash_hit_ratio=pre.stats.hit_ratio,
+        entries_at_crash=len(pre.deployment.cache),
+        journal_records=persister.total_records,
         damage=damage_report,
         entries_restored=report.entries_restored,
         entries_stale=report.entries_stale,
         records_replayed=report.records_replayed,
         stop_reason=report.stop_reason,
-        warm_hit_ratio=warm_stats.hit_ratio,
-        cold_hit_ratio=cold_stats.hit_ratio,
+        warm_hit_ratio=warm.stats.hit_ratio,
+        cold_hit_ratio=cold.stats.hit_ratio,
         recovery_report=report.to_dict(),
     )

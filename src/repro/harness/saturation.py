@@ -14,27 +14,27 @@ every response time would diverge.  With the admission layer
   ``queued-timeout`` records, and the shed fraction grows with offered
   load while ``serve`` never raises.
 
-Protocol: for each rung of a client ladder (8 clients up to 10,000 at
-bench scale), build a fresh proxy + :class:`~repro.admission.controller.
-AdmissionController` + :class:`~repro.sched.loop.EventLoop` and drive a
-seeded :class:`~repro.workload.closed_loop.ClosedLoopDriver` population
-to completion.  Everything runs on the deterministic event-time axis,
-so the whole curve is reproducible bit for bit.
+Protocol: each rung of a client ladder (8 clients up to 10,000 at
+bench scale) is one runner :class:`~repro.harness.runner.Scenario` — a
+fresh admission-controlled proxy driven to completion by a seeded
+closed-loop population on a fresh event loop.  Everything runs on the
+deterministic event-time axis, so the whole curve is reproducible bit
+for bit.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.admission import AdmissionConfig, AdmissionController
 from repro.core.schemes import CachingScheme
 from repro.core.stats import QueryOutcome
 from repro.harness.config import ExperimentScale
-from repro.harness.render import render_table
-from repro.harness.runner import ExperimentRunner
-from repro.sched import EventLoop, ProxyFrontend
-from repro.workload.closed_loop import ClosedLoopConfig, ClosedLoopDriver
+from repro.harness.render import Column, as_dict, render_table
+from repro.harness.runner import ExperimentRunner, Playback, Scenario
+from repro.workload.closed_loop import ClosedLoopConfig
 
 #: Client-population ladders.  The quick ladder keeps unit tests fast;
 #: the full ladder's 10,000-client rung is the saturation headline.
@@ -89,20 +89,20 @@ class LoadPoint:
     telemetry: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "n_clients": self.n_clients,
-            "submitted": self.submitted,
-            "records": self.records,
-            "served": self.served,
-            "shed": self.shed,
-            "timed_out": self.timed_out,
-            "failed": self.failed,
-            "end_ms": self.end_ms,
-            "throughput_qps": self.throughput_qps,
-            "p95_admitted_ms": self.p95_admitted_ms,
-            "shed_fraction": self.shed_fraction,
-            "overload_opens": self.overload_opens,
-        }
+        return as_dict(self, exclude=("telemetry",))
+
+
+COLUMNS: tuple[Column, ...] = (
+    ("clients", lambda point: point.n_clients),
+    ("submitted", lambda point: point.submitted),
+    ("served", lambda point: point.served),
+    ("shed", lambda point: point.shed),
+    ("timeout", lambda point: point.timed_out),
+    ("qps", lambda point: point.throughput_qps),
+    ("p95 adm ms", lambda point: point.p95_admitted_ms),
+    ("shed frac", lambda point: point.shed_fraction),
+    ("opens", lambda point: point.overload_opens),
+)
 
 
 @dataclass(frozen=True)
@@ -143,49 +143,19 @@ class SaturationResult:
         ) / peak
 
     def to_dict(self) -> dict:
-        return {
-            "admission": self.admission,
-            "queries_per_client": self.queries_per_client,
-            "think_time_ms": self.think_time_ms,
-            "seed": self.seed,
-            "peak_throughput_qps": self.peak_throughput_qps,
-            "plateau_fraction": self.plateau_fraction,
-            "points": [point.to_dict() for point in self.points],
-        }
+        return as_dict(
+            self, derived=("peak_throughput_qps", "plateau_fraction")
+        )
 
     def render(self) -> str:
-        headers = [
-            "clients",
-            "submitted",
-            "served",
-            "shed",
-            "timeout",
-            "qps",
-            "p95 adm ms",
-            "shed frac",
-            "opens",
-        ]
-        rows = [
-            [
-                point.n_clients,
-                point.submitted,
-                point.served,
-                point.shed,
-                point.timed_out,
-                point.throughput_qps,
-                point.p95_admitted_ms,
-                point.shed_fraction,
-                point.overload_opens,
-            ]
-            for point in self.points
-        ]
+        config = self.admission["config"]
         return render_table(
             "Saturation: closed-loop load ladder against "
-            f"{self.admission['config']['max_inflight']} service slots "
-            f"(queue {self.admission['config']['max_queue_depth']}, "
+            f"{config['max_inflight']} service slots "
+            f"(queue {config['max_queue_depth']}, "
             f"deadline {self.deadline_ms:.0f} ms)",
-            headers,
-            rows,
+            COLUMNS,
+            self.points,
         )
 
 
@@ -201,37 +171,13 @@ def ladder_for(scale: ExperimentScale) -> tuple[int, ...]:
     return QUICK_LADDER if scale.name == "quick" else FULL_LADDER
 
 
-def run_load_point(
-    runner: ExperimentRunner,
-    n_clients: int,
-    admission: AdmissionConfig,
-    queries_per_client: int,
-    think_time_ms: float,
-    seed: int,
-) -> LoadPoint:
-    """One ladder rung on a fresh proxy, controller, and event loop."""
-    proxy = runner.build_proxy(
-        CachingScheme.FULL_SEMANTIC,
-        "array",
-        cache_fraction=None,
-        admission=AdmissionController(admission),
-    )
-    frontend = ProxyFrontend(proxy, EventLoop())
-    driver = ClosedLoopDriver(
-        frontend,
-        runner.trace,
-        ClosedLoopConfig(
-            n_clients=n_clients,
-            queries_per_client=queries_per_client,
-            think_time_ms=think_time_ms,
-            seed=seed,
-        ),
-    )
-    stats = driver.run()
+def _load_point(n_clients: int, played: Playback) -> LoadPoint:
+    """One ladder rung's row, read off its playback."""
+    proxy, stats, end_ms = played.deployment, played.stats, played.end_ms
     telemetry = None
     if proxy.timeseries.enabled or proxy.events.enabled:
         series = proxy.timeseries.snapshot()
-        series["health"] = proxy.health.evaluate(driver.loop.now_ms)
+        series["health"] = proxy.health.evaluate(end_ms)
         telemetry = {
             "timeseries": series,
             "events": proxy.events.snapshot(),
@@ -244,7 +190,6 @@ def run_load_point(
     served = counts.get(QueryOutcome.SERVED.value, 0)
     shed = counts.get(QueryOutcome.SHED.value, 0)
     timed_out = counts.get(QueryOutcome.QUEUED_TIMEOUT.value, 0)
-    end_ms = driver.loop.now_ms
     admitted_ms = [
         record.response_ms
         for record in stats.records
@@ -280,13 +225,20 @@ def run_saturation(
     runner = runner or ExperimentRunner(scale or ExperimentScale.default())
     rungs = ladder or ladder_for(runner.scale)
     points = tuple(
-        run_load_point(
-            runner,
+        _load_point(
             n_clients,
-            admission,
-            queries_per_client,
-            think_time_ms,
-            seed,
+            runner.play(
+                Scenario(
+                    CachingScheme.FULL_SEMANTIC,
+                    admission=admission,
+                    closed_loop=ClosedLoopConfig(
+                        n_clients=n_clients,
+                        queries_per_client=queries_per_client,
+                        think_time_ms=think_time_ms,
+                        seed=seed,
+                    ),
+                )
+            ),
         )
         for n_clients in rungs
     )
@@ -318,24 +270,20 @@ def stitch_telemetry(result: SaturationResult) -> tuple[dict, dict] | None:
     interval = float(first.get("interval_ms") or 1_000.0)
     samples: list[dict] = []
     events: list[dict] = []
-    counts: dict[str, int] = {}
-    total = 0
+    counts: Counter[str] = Counter()
     rungs: list[dict] = []
     offset = 0.0
     for point in stitched:
-        series = point.telemetry["timeseries"]
         flight = point.telemetry["events"]
-        for sample in series.get("samples", []):
-            shifted = dict(sample)
-            shifted["t_ms"] = sample["t_ms"] + offset
-            samples.append(shifted)
-        for event in flight.get("events", []):
-            shifted = dict(event)
-            shifted["at_ms"] = event["at_ms"] + offset
-            events.append(shifted)
-        total += flight.get("total", 0)
-        for code, count in flight.get("counts", {}).items():
-            counts[code] = counts.get(code, 0) + count
+        samples.extend(
+            dict(sample, t_ms=sample["t_ms"] + offset)
+            for sample in point.telemetry["timeseries"].get("samples", [])
+        )
+        events.extend(
+            dict(event, at_ms=event["at_ms"] + offset)
+            for event in flight.get("events", [])
+        )
+        counts.update(flight.get("counts", {}))
         span = math.ceil(point.end_ms / interval) * interval
         rungs.append(
             {
@@ -362,7 +310,7 @@ def stitch_telemetry(result: SaturationResult) -> tuple[dict, dict] | None:
         "capacity": max(
             p.telemetry["events"].get("capacity", 0) for p in stitched
         ),
-        "total": total,
+        "total": sum(p.telemetry["events"].get("total", 0) for p in stitched),
         "counts": dict(sorted(counts.items())),
         "events": events,
         "rungs": rungs,

@@ -16,14 +16,14 @@ on identical seeded load:
   every query owned by the dead shard sheds, making the availability
   collapse the failover path prevents visible in the same table.
 
-Protocol per scenario: fresh shard proxies (each with its own
-admission controller and persistence directory), a
-:class:`~repro.cluster.router.ShardRouter` with the shard-crash plan,
-and a seeded closed-loop population on one deterministic event loop.
-The run is driven to the crash instant, the pre-crash record count is
-marked, and the remaining events drain — the post-crash slice is what
-the *post-handoff* columns aggregate.  Everything runs on event time,
-so the whole table is reproducible bit for bit.
+Each cell is one runner :class:`~repro.harness.runner.Scenario`: a
+fresh N-shard tier (each shard with its own admission controller and
+persistence directory) under the shard-crash plan, driven by a seeded
+closed-loop population on one deterministic event loop.  The run is
+marked at the crash instant and the remaining events drain — the
+post-crash slice is what the *post-handoff* columns aggregate.
+Everything runs on event time, so the whole table is reproducible bit
+for bit.
 """
 
 from __future__ import annotations
@@ -32,20 +32,21 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.admission import AdmissionConfig, AdmissionController
-from repro.cluster import ClusterFrontend, RouterConfig, Shard, ShardRouter
+from repro.admission import AdmissionConfig
+from repro.cluster import RouterConfig, Shard, ShardRouter
 from repro.core.schemes import CachingScheme
 from repro.core.stats import QueryOutcome, QueryRecord, TraceStats
 from repro.faults.shard import ShardCrashPlan, ShardFaultWindow
 from repro.harness.config import ExperimentScale
-from repro.harness.render import render_table
-from repro.harness.runner import ExperimentRunner
-from repro.obs.events import EventRecorder
-from repro.obs.timeseries import ROUTER_LANES, TimeSeriesRecorder
-from repro.persistence.persister import CachePersister
-from repro.sched import EventLoop
+from repro.harness.render import Column, as_dict, render_table
+from repro.harness.runner import (
+    REGION_CELL,
+    ExperimentRunner,
+    Playback,
+    Scenario,
+)
 from repro.templates.skyserver_templates import RADIAL_TEMPLATE_ID
-from repro.workload.closed_loop import ClosedLoopConfig, ClosedLoopDriver
+from repro.workload.closed_loop import ClosedLoopConfig
 
 #: Shard-count ladders: the quick ladder keeps the test suite fast.
 QUICK_SHARD_COUNTS = (1, 2, 4)
@@ -65,12 +66,6 @@ SHARD_ADMISSION = AdmissionConfig(
     overload_threshold=256,
     overload_cooldown_ms=2_000.0,
 )
-
-#: The spatial partition cell for the radial template (unit-sphere
-#: coordinates).  The quick trace's hotspot spans ~0.04-0.13 per axis,
-#: so 0.02 yields tens of distinct cells — enough keys to spread one
-#: hot template across every shard count on the ladder.
-REGION_CELL = 0.02
 
 #: When the scheduled crash fires, in event-loop milliseconds.
 CRASH_MS = 15_000.0
@@ -97,23 +92,25 @@ class AvailabilityPoint:
     end_ms: float
 
     def to_dict(self) -> dict:
-        return {
-            "shards": self.shards,
-            "scenario": self.scenario,
-            "crashed_shard": self.crashed_shard,
-            "records": self.records,
-            "answered_fraction": self.answered_fraction,
-            "hit_ratio": self.hit_ratio,
-            "post_records": self.post_records,
-            "post_answered_fraction": self.post_answered_fraction,
-            "post_hit_ratio": self.post_hit_ratio,
-            "shed": self.shed,
-            "tunneled": self.tunneled,
-            "failovers": self.failovers,
-            "handoff_entries": self.handoff_entries,
-            "handoff_replayed": self.handoff_replayed,
-            "end_ms": self.end_ms,
-        }
+        return as_dict(self)
+
+
+COLUMNS: tuple[Column, ...] = (
+    ("shards", lambda point: point.shards),
+    ("scenario", lambda point: point.scenario),
+    ("records", lambda point: point.records),
+    ("answered", lambda point: point.answered_fraction),
+    ("hit ratio", lambda point: point.hit_ratio),
+    ("post answered", lambda point: point.post_answered_fraction),
+    ("post hit", lambda point: point.post_hit_ratio),
+    ("shed", lambda point: point.shed),
+    ("tunnel", lambda point: point.tunneled),
+    ("failovers", lambda point: point.failovers),
+    (
+        "handoff",
+        lambda point: f"{point.handoff_replayed}/{point.handoff_entries}",
+    ),
+)
 
 
 @dataclass(frozen=True)
@@ -135,51 +132,14 @@ class ShardAvailabilityResult:
         raise KeyError(f"no point for {shards} shards / {scenario!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "crash_ms": self.crash_ms,
-            "region_cell": self.region_cell,
-            "n_clients": self.n_clients,
-            "queries_per_client": self.queries_per_client,
-            "think_time_ms": self.think_time_ms,
-            "seed": self.seed,
-            "points": [point.to_dict() for point in self.points],
-        }
+        return as_dict(self)
 
     def render(self) -> str:
-        headers = [
-            "shards",
-            "scenario",
-            "records",
-            "answered",
-            "hit ratio",
-            "post answered",
-            "post hit",
-            "shed",
-            "tunnel",
-            "failovers",
-            "handoff",
-        ]
-        rows = [
-            [
-                point.shards,
-                point.scenario,
-                point.records,
-                point.answered_fraction,
-                point.hit_ratio,
-                point.post_answered_fraction,
-                point.post_hit_ratio,
-                point.shed,
-                point.tunneled,
-                point.failovers,
-                f"{point.handoff_replayed}/{point.handoff_entries}",
-            ]
-            for point in self.points
-        ]
         return render_table(
             "Shard availability: mid-trace crash at "
             f"{self.crash_ms:.0f} ms with/without health-aware failover",
-            headers,
-            rows,
+            COLUMNS,
+            self.points,
         )
 
 
@@ -195,11 +155,7 @@ def _hit_ratio_answered(records: list[QueryRecord]) -> float:
     hits.  Availability runs produce sheds by design, so the tier's
     cache quality is measured over the queries that returned tuples.
     """
-    answered = [record for record in records if record.answered]
-    if not answered:
-        return 0.0
-    hits = sum(1 for record in answered if not record.contacted_origin)
-    return hits / len(answered)
+    return TraceStats([r for r in records if r.answered]).hit_ratio
 
 
 def busiest_shard(runner: ExperimentRunner, n_shards: int) -> str:
@@ -231,45 +187,78 @@ def busiest_shard(runner: ExperimentRunner, n_shards: int) -> str:
     return max(sorted(counts), key=lambda shard_id: counts[shard_id])
 
 
-def build_tier(
-    runner: ExperimentRunner,
+def _scenarios(
     n_shards: int,
-    persistence_dir: str | Path,
-    crash_plan: ShardCrashPlan,
-    failover: bool,
-    handoff_on_crash: bool,
-    admission: AdmissionConfig = SHARD_ADMISSION,
-) -> ShardRouter:
-    """A fresh N-shard router: per-shard admission + persistence, an
-    origin-tunnel fallback, and the router-lane telemetry recorders."""
-    shards = []
-    for index in range(n_shards):
-        shard_id = f"shard-{index}"
-        proxy = runner.build_proxy(
+    victim: str,
+    crash_ms: float,
+    load: ClosedLoopConfig,
+    root: Path,
+) -> dict[str, Scenario]:
+    """The three scenarios of one shard count, keyed by name; each
+    journals into its own directory under ``root``."""
+    crash = (ShardFaultWindow(victim, "crash", crash_ms),)
+    return {
+        name: Scenario(
             CachingScheme.FULL_SEMANTIC,
-            "array",
-            cache_fraction=None,
-            admission=AdmissionController(admission),
-            persistence=CachePersister(
-                Path(persistence_dir) / shard_id, shard_id=shard_id
+            shards=n_shards,
+            admission=SHARD_ADMISSION,
+            persistence=root / name,
+            failover=name != "control",
+            closed_loop=load,
+            mark_ms=crash_ms,
+            faults=ShardCrashPlan(
+                seed=load.seed, faults=() if name == "baseline" else crash
             ),
         )
-        shards.append(Shard(shard_id, proxy))
-    fallback = runner.build_proxy(
-        CachingScheme.NO_CACHE, "array", cache_fraction=None
+        for name in SCENARIOS
+    }
+
+
+def _point(
+    name: str, scenario: Scenario, victim: str, played: Playback
+) -> AvailabilityPoint:
+    """One (shard count, scenario) cell, read off its playback."""
+    router = played.deployment
+    stats = played.stats
+    post = TraceStats(stats.records[played.marked:])
+    counts = stats.outcome_counts()
+    tunnel_metric = router.registry.get("router_tunnel_total")
+    failover_metric = router.registry.get("router_failover_total")
+    return AvailabilityPoint(
+        shards=scenario.shards,
+        scenario=name,
+        crashed_shard=victim if name != "baseline" else None,
+        records=len(stats.records),
+        answered_fraction=stats.answered_fraction,
+        hit_ratio=_hit_ratio_answered(stats.records),
+        post_records=len(post.records),
+        post_answered_fraction=post.answered_fraction,
+        post_hit_ratio=_hit_ratio_answered(post.records),
+        shed=counts.get(QueryOutcome.SHED, 0)
+        + counts.get(QueryOutcome.QUEUED_TIMEOUT, 0),
+        tunneled=int(tunnel_metric.total()) if tunnel_metric else 0,
+        failovers=int(failover_metric.total()) if failover_metric else 0,
+        handoff_entries=sum(h.entries for h in router.handoffs),
+        handoff_replayed=sum(h.replayed for h in router.handoffs),
+        end_ms=played.end_ms,
     )
-    return ShardRouter(
-        tuple(shards),
-        fallback=fallback,
-        config=RouterConfig(
-            failover=failover,
-            handoff_on_crash=handoff_on_crash,
-            region_partitions={RADIAL_TEMPLATE_ID: REGION_CELL},
-        ),
-        crash_plan=crash_plan,
-        events=EventRecorder(),
-        timeseries=TimeSeriesRecorder(lanes=ROUTER_LANES),
-    )
+
+
+def _cells(
+    runner: ExperimentRunner,
+    n_shards: int,
+    names: tuple[str, ...],
+    crash_ms: float,
+    load: ClosedLoopConfig,
+) -> list[AvailabilityPoint]:
+    """The named cells of one shard count; they share one victim."""
+    victim = busiest_shard(runner, n_shards)
+    with tempfile.TemporaryDirectory(prefix="shard-avail-") as tmp:
+        scenarios = _scenarios(n_shards, victim, crash_ms, load, Path(tmp))
+        return [
+            _point(name, scenarios[name], victim, runner.play(scenarios[name]))
+            for name in names
+        ]
 
 
 def run_scenario(
@@ -285,61 +274,13 @@ def run_scenario(
     """One (shard count, scenario) cell on a fresh tier and loop."""
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; use {SCENARIOS}")
-    failover = scenario != "control"
-    victim = busiest_shard(runner, n_shards)
-    with tempfile.TemporaryDirectory(prefix="shard-avail-") as tmp:
-        faults = ()
-        if scenario != "baseline":
-            faults = (ShardFaultWindow(victim, "crash", crash_ms),)
-        router = build_tier(
-            runner,
-            n_shards,
-            tmp,
-            ShardCrashPlan(seed=seed, faults=faults),
-            failover=failover,
-            handoff_on_crash=failover,
-        )
-        frontend = ClusterFrontend(router, EventLoop())
-        driver = ClosedLoopDriver(
-            frontend,
-            runner.trace,
-            ClosedLoopConfig(
-                n_clients=n_clients,
-                queries_per_client=queries_per_client,
-                think_time_ms=think_time_ms,
-                seed=seed,
-            ),
-        )
-        # Drive to the crash instant, mark the slice boundary, drain.
-        stats = driver.run(until_ms=crash_ms)
-        pre_count = len(stats.records)
-        driver.loop.run()
-        post = TraceStats(stats.records[pre_count:])
-        counts = stats.outcome_counts()
-        handoff_entries = sum(h.entries for h in router.handoffs)
-        handoff_replayed = sum(h.replayed for h in router.handoffs)
-        tunnel_metric = router.registry.get("router_tunnel_total")
-        tunneled = int(tunnel_metric.total()) if tunnel_metric else 0
-        failover_metric = router.registry.get("router_failover_total")
-        failovers = int(failover_metric.total()) if failover_metric else 0
-        return AvailabilityPoint(
-            shards=n_shards,
-            scenario=scenario,
-            crashed_shard=victim if scenario != "baseline" else None,
-            records=len(stats.records),
-            answered_fraction=stats.answered_fraction,
-            hit_ratio=_hit_ratio_answered(stats.records),
-            post_records=len(post.records),
-            post_answered_fraction=post.answered_fraction,
-            post_hit_ratio=_hit_ratio_answered(post.records),
-            shed=counts.get(QueryOutcome.SHED, 0)
-            + counts.get(QueryOutcome.QUEUED_TIMEOUT, 0),
-            tunneled=tunneled,
-            failovers=failovers,
-            handoff_entries=handoff_entries,
-            handoff_replayed=handoff_replayed,
-            end_ms=driver.loop.now_ms,
-        )
+    load = ClosedLoopConfig(
+        n_clients=n_clients,
+        queries_per_client=queries_per_client,
+        think_time_ms=think_time_ms,
+        seed=seed,
+    )
+    return _cells(runner, n_shards, (scenario,), crash_ms, load)[0]
 
 
 def run_shard_availability(
@@ -353,24 +294,18 @@ def run_shard_availability(
     seed: int = 339,
 ) -> ShardAvailabilityResult:
     runner = runner or ExperimentRunner(scale or ExperimentScale.default())
-    counts = shard_counts or shard_counts_for(runner.scale)
-    points = []
-    for n_shards in counts:
-        for scenario in SCENARIOS:
-            points.append(
-                run_scenario(
-                    runner,
-                    n_shards,
-                    scenario,
-                    crash_ms=crash_ms,
-                    n_clients=n_clients,
-                    queries_per_client=queries_per_client,
-                    think_time_ms=think_time_ms,
-                    seed=seed,
-                )
-            )
+    load = ClosedLoopConfig(
+        n_clients=n_clients,
+        queries_per_client=queries_per_client,
+        think_time_ms=think_time_ms,
+        seed=seed,
+    )
     return ShardAvailabilityResult(
-        points=tuple(points),
+        points=tuple(
+            point
+            for n_shards in shard_counts or shard_counts_for(runner.scale)
+            for point in _cells(runner, n_shards, SCENARIOS, crash_ms, load)
+        ),
         crash_ms=crash_ms,
         region_cell=REGION_CELL,
         n_clients=n_clients,

@@ -24,6 +24,14 @@ class TestScales:
             assert scale.measure_queries <= scale.trace.n_queries
             assert scale.trace.sky == scale.sky
 
+    def test_named_presets(self):
+        for name in ("quick", "default", "paper"):
+            assert ExperimentScale.named(name).name == name
+
+    def test_named_rejects_unknown_scale(self):
+        with pytest.raises(ValueError, match="unknown scale 'huge'"):
+            ExperimentScale.named("huge")
+
     def test_with_trace_length_clamps_measurement(self):
         scale = ExperimentScale.quick().with_trace_length(10)
         assert scale.trace.n_queries == 10

@@ -48,16 +48,6 @@ class TestSaturation:
                 == point.records
             )
 
-    def test_determinism(self):
-        scale = ExperimentScale.quick().with_trace_length(40)
-        runner = ExperimentRunner(scale)
-        ladder = (4, 48)
-
-        def curve():
-            return run_saturation(runner, ladder=ladder).to_dict()
-
-        assert curve() == curve()
-
     def test_wire_form_and_rendering(self, result):
         payload = result.to_dict()
         assert len(payload["points"]) == 3

@@ -98,16 +98,3 @@ class TestResultShape:
     def test_missing_point_raises(self, result):
         with pytest.raises(KeyError):
             result.point(64, "baseline")
-
-    def test_determinism(self, runner):
-        def run():
-            return run_shard_availability(
-                runner,
-                shard_counts=(2,),
-                crash_ms=6_000.0,
-                n_clients=6,
-                queries_per_client=3,
-                think_time_ms=1_000.0,
-            ).to_dict()
-
-        assert run() == run()
