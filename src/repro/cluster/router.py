@@ -13,8 +13,11 @@ other still share a cache.
 
 Failover never raises: a shard that is crashed or hung (the seeded
 :class:`~repro.faults.shard.ShardCrashPlan`), drained, or judged
-``unhealthy`` by its own PR 9 :class:`~repro.obs.health.HealthMonitor`
-is skipped and the walk continues down the key's preference order.
+``unhealthy`` by its own :class:`~repro.obs.health.HealthMonitor` is
+skipped and the walk continues down the key's preference order.  The
+dispatch verdict leaves out HR01 (hit-ratio collapse): a cold cache is
+a cache-quality signal, not a reason the shard cannot serve, so turning
+telemetry on never changes where queries go.
 When no shard can take the query, the router degrades to the origin
 tunnel (``fallback.serve_admitted(degrade=True)``) or, without a
 fallback, sheds with the structured ``shed`` outcome — the same
@@ -54,7 +57,12 @@ from repro.obs.events import (
     NULL_EVENTS,
 )
 from repro.obs.decisions import DECISION_LOG_CAPACITY
-from repro.obs.health import HEALTHY, UNHEALTHY, evaluate_samples
+from repro.obs.health import (
+    HEALTHY,
+    UNHEALTHY,
+    evaluate_samples,
+    worst_status,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import NULL_TIMESERIES
 
@@ -68,6 +76,10 @@ REASON_SHARD_DOWN = "shard-down"
 
 #: Per-shard statuses that mean "do not dispatch here".
 _NOT_DISPATCHABLE = ("unhealthy", "unreachable", "drained")
+
+#: Health rules a shard's dispatch verdict ignores (its own ``/health``
+#: still reports them).
+_CACHE_QUALITY_RULES = ("HR01",)
 
 
 @dataclass(frozen=True)
@@ -270,7 +282,8 @@ class ShardRouter:
         """Every shard's dispatch verdict at ``now_ms``.
 
         Fault-session reachability wins over the shard's own monitor
-        (a crashed shard's monitor would happily report healthy).
+        (a crashed shard's monitor would happily report healthy).  The
+        monitor's verdict counts every rule but the cache-quality ones.
         """
         session = self._session
         statuses: dict[str, str] = {}
@@ -280,8 +293,11 @@ class ShardRouter:
             elif session is not None and session.down(shard_id, now_ms):
                 statuses[shard_id] = "unreachable"
             else:
-                statuses[shard_id] = str(
-                    shard.proxy.health.evaluate(now_ms)["status"]
+                report = shard.proxy.health.evaluate(now_ms)
+                statuses[shard_id] = worst_status(
+                    str(rule["status"])
+                    for rule in report["rules"]
+                    if rule["id"] not in _CACHE_QUALITY_RULES
                 )
         return statuses
 

@@ -37,7 +37,7 @@ the shared no-op default.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.obs.events import EV_HEALTH_STATE_CHANGE, NULL_EVENTS
 from repro.obs.slo import SloTracker
@@ -244,12 +244,13 @@ def evaluate_samples(
         _breaker_open(samples),
         _shard_down(shards_down, shards_total),
     ]
-    status = max(
-        (rule["status"] for rule in rules),
-        key=lambda verdict: _SEVERITY[str(verdict)],
-        default=HEALTHY,
-    )
+    status = worst_status(str(rule["status"]) for rule in rules)
     return {"status": status, "rules": rules, "windows": len(samples)}
+
+
+def worst_status(statuses: Iterable[str]) -> str:
+    """The most severe of ``statuses``; ``healthy`` when there are none."""
+    return max(statuses, key=_SEVERITY.__getitem__, default=HEALTHY)
 
 
 def strictest_latency_objective(slo: SloTracker | None) -> float | None:

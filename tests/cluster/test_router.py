@@ -13,7 +13,7 @@ from repro.core.stats import QueryOutcome
 from repro.faults.shard import ShardCrashPlan, ShardFaultWindow
 from repro.obs.events import EventRecorder
 from repro.obs.decisions import DECISION_LOG_CAPACITY
-from repro.obs.health import UNHEALTHY
+from repro.obs.health import DEGRADED, HEALTHY, UNHEALTHY, HealthMonitor
 from repro.templates.skyserver_templates import RADIAL_TEMPLATE_ID
 
 
@@ -312,3 +312,72 @@ class TestStatusAndHealth:
         assert report["shards_up"] == 2
         assert report["shards"]["shard-0"] == "unreachable"
         assert router.shards_up(10.0) == 2
+
+
+class FixedSeries:
+    """A time-series stand-in that holds fixed samples."""
+
+    def __init__(self, samples):
+        self._samples = samples
+
+    def samples(self):
+        return self._samples
+
+
+def window(origin=1.0, shed=0.0, breaker=0.0):
+    """One 10 q/s time-series window; hit ratio is 1 - origin / 10."""
+    return {
+        "rates": {
+            "throughput_qps": 10.0,
+            "origin_per_s": origin,
+            "shed_per_s": shed,
+        },
+        "gauges": {"breaker_state": breaker},
+    }
+
+
+class TestTelemetryDoesNotSteer:
+    """Health-aware routing acts on every rule but HR01."""
+
+    def tier(self, make_tier, bind, newest, events=None):
+        """A tier whose primary shard's live monitor sees four
+        0.9-hit-ratio windows, then ``newest``."""
+        router = make_tier(persist=False)
+        primary = router.ring.primary(router.route_key(bind()))
+        series = FixedSeries([window()] * 4 + [newest])
+        monitor = HealthMonitor(series, events or EventRecorder())
+        router.shard(primary).proxy.obs.health = monitor
+        return router, primary
+
+    def test_hit_ratio_collapse_keeps_the_primary(self, make_tier, bind):
+        events = EventRecorder()
+        router, primary = self.tier(
+            make_tier, bind, window(origin=10.0), events
+        )
+        _, decision = router.serve_routed(bind())
+        assert decision.dispatched == primary
+        assert not decision.rerouted
+        assert router.health(0.0)["shards"][primary] == HEALTHY
+        # The shard's own /health and the flight recorder still say so.
+        report = router.shard(primary).proxy.health.evaluate(0.0)
+        assert report["status"] == UNHEALTHY
+        (hr01,) = [r for r in report["rules"] if r["id"] == "HR01"]
+        assert hr01["status"] == UNHEALTHY
+        assert [e["payload"]["status"] for e in events.recent()] == [
+            UNHEALTHY
+        ]
+
+    def test_breaker_open_still_counts(self, make_tier, bind):
+        router, primary = self.tier(
+            make_tier, bind, window(origin=10.0, breaker=2.0)
+        )
+        assert router.health(0.0)["shards"][primary] == DEGRADED
+
+    def test_other_unhealthy_rules_still_fail_over(self, make_tier, bind):
+        router, primary = self.tier(
+            make_tier, bind, window(origin=10.0, shed=20.0)
+        )
+        _, decision = router.serve_routed(bind())
+        assert decision.attempts[0].shard_id == primary
+        assert decision.attempts[0].fate == "unhealthy"
+        assert decision.dispatched not in (None, primary)
